@@ -1,0 +1,4 @@
+"""The repository's benchmark: DiffProv diagnosis end to end and per layer.
+
+Run ``python3 perfbench/run.py --help`` from the repository root.
+"""
