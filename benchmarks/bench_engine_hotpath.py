@@ -2,19 +2,17 @@
 
 Every DiffProv phase bottoms out in candidate replays
 (``diffprov.replay``), which is exactly where the hot-path rework
-lands: composite join indexes planned per rule, a head-predicate
-dispatch index, interned tuples, and a provenance recorder that
-records compact annotations instead of eagerly building the
+lands: compiled join closures over composite indexes planned per rule,
+a head-predicate dispatch index, interned tuples, and a provenance
+recorder that records compact events instead of eagerly building the
 seven-vertex graph on every replay.  This benchmark pins the claim
 from both sides:
 
 - ``replay_linear_s`` — the linear-scan, eager-provenance reference
   engine (``EngineConfig("reference")``), the mode the equivalence
   tests compare against;
-- ``replay_eager_s`` — indexed joins but eager provenance
-  (``EngineConfig(backend="indexed", provenance="eager")``), isolating
-  the recorder share of the win;
-- ``replay_fast_s`` — the defaults (compiled/annotated);
+- ``replay_fast_s`` — the default compiled backend with lazy
+  provenance;
 - ``speedup`` — linear/fast ratio of the candidate-replay phase (the
   acceptance bar is >= 2x on at least one workload);
 - ``index_hits``/``index_misses``/``reconstructions`` — the
@@ -110,15 +108,10 @@ def run_benchmark():
         linear_s, linear_report, _ = _best_replay_seconds(
             name, params, engine="reference"
         )
-        eager_s, eager_report, _ = _best_replay_seconds(
-            name,
-            params,
-            engine=EngineConfig(backend="indexed", provenance="eager"),
-        )
         fast_s, fast_report, counters = _best_replay_seconds(name, params)
 
         # Determinism matrix: workers x replay-cache x resume.
-        reports = [linear_report, eager_report, fast_report]
+        reports = [linear_report, fast_report]
         for workers in (2, 4):
             report, _, _ = _diagnose(name, params, workers=workers)
             reports.append(report)
@@ -145,10 +138,8 @@ def run_benchmark():
             {
                 "scenario": name,
                 "replay_linear_s": round(linear_s, 4),
-                "replay_eager_s": round(eager_s, 4),
                 "replay_fast_s": round(fast_s, 4),
                 "speedup": round(linear_s / max(fast_s, 1e-9), 2),
-                "lazy_share": round(eager_s / max(fast_s, 1e-9), 2),
                 "index_hits": counters.get("engine.index.hits", 0),
                 "index_misses": counters.get("engine.index.misses", 0),
                 "reconstructions": counters.get(

@@ -14,9 +14,8 @@ As a script the flags are explicit::
     PYTHONPATH=src python benchmarks/bench_stanford.py --full-scale --engine compiled
 
 The full-scale run is only practical with the compiled backend (the
-default): the indexed/reference engines copy the 757k-entry
-configuration per candidate replay, the compiled one forks it
-copy-on-write.
+default): the reference engine clones the 757k-entry configuration
+per candidate replay, the compiled one forks it copy-on-write.
 """
 
 import argparse
@@ -75,7 +74,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--engine", default=None,
-        choices=("compiled", "indexed", "reference"),
+        choices=("compiled", "reference"),
         help="evaluation backend (default: compiled)",
     )
     parser.add_argument(

@@ -3,7 +3,7 @@
 Everything an operator does with the command-line debugger — diagnose,
 search for a reference, inspect trees, export provenance — is available
 as one object whose constructor takes the same knobs the CLI exposes as
-flags.  The lower layers (:class:`repro.DiffProv`, executions,
+flags.  The lower layers (:class:`repro.core.DiffProv`, executions,
 recorders) remain importable for programs that need them, but the
 facade is the documented entry point and the one the examples and the
 ``diffprov`` command are written against (docs/api.md).
@@ -26,7 +26,7 @@ Two construction modes:
       )
       report = session.diagnose()
 
-The knobs mirror :class:`repro.DiffProvOptions`: ``workers`` > 1 fans
+The knobs mirror :class:`repro.core.DiffProvOptions`: ``workers`` > 1 fans
 candidate replays out over a process pool and ``replay_cache=False``
 disables the baseline snapshot cache; both leave the report
 byte-identical (docs/performance.md).
@@ -74,10 +74,9 @@ class Session:
         dispatch span (docs/observability.md).  Ignored without
         ``telemetry``.
     ``engine``
-        An :class:`repro.EngineConfig`, a backend name string
-        (``"compiled"``, ``"indexed"``, ``"reference"``), or a mapping
-        with ``backend``/``provenance`` keys.  Selects the evaluation
-        backend for both executions; every mode produces byte-identical
+        An :class:`repro.EngineConfig` or a backend name string
+        (``"compiled"``, ``"reference"``).  Selects the evaluation
+        backend for both executions; both produce byte-identical
         reports (docs/performance.md).  ``None`` keeps each execution's
         own config (the compiled default).
     ``workers``
@@ -85,7 +84,7 @@ class Session:
     ``replay_cache``
         Snapshot-cache baseline engine states between replays.
     ``max_rounds``, ``minimize``, ``taint``
-        As in :class:`repro.DiffProvOptions` (``taint`` maps to
+        As in :class:`repro.core.DiffProvOptions` (``taint`` maps to
         ``enable_taint``).
     ``journal``, ``resume``
         Path of the write-ahead diagnosis journal, and whether to

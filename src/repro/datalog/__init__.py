@@ -9,21 +9,20 @@ The public entry points are:
 
 - :func:`repro.datalog.parser.parse_program` — parse NDlog text;
 - :class:`repro.datalog.engine.Engine` — run a program;
-- :class:`repro.datalog.config.EngineConfig` — backend/provenance
-  selection (compiled / indexed / reference);
+- :class:`repro.datalog.config.EngineConfig` — backend selection
+  (compiled / reference);
 - :class:`repro.datalog.tuples.Tuple` — the value model.
 """
 
 from .tuples import Tuple, TableSchema, TableKind
 from .rules import Rule, Atom, Assignment, Condition, Program
 from .parser import parse_program, parse_rule, parse_tuple
-from .config import BACKENDS, PROVENANCE_MODES, EngineConfig
+from .config import BACKENDS, EngineConfig
 from .columnar import ColumnarStore
 from .engine import Engine
 
 __all__ = [
     "BACKENDS",
-    "PROVENANCE_MODES",
     "EngineConfig",
     "ColumnarStore",
     "Tuple",

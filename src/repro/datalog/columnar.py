@@ -1,10 +1,10 @@
 """Columnar relation storage with sorted secondary projections.
 
-The interpreted :class:`repro.datalog.state.Store` answers every index
-probe with ``sorted(bucket_set, key=sort_key)`` — one sort per probe —
-and rebuilds the per-table sorted view from scratch whenever a tuple's
-liveness changes.  At join-heavy scales (the full Stanford backbone:
-757k forwarding entries) those per-probe sorts dominate evaluation.
+The reference :class:`repro.datalog.state.Store` answers every
+equality query with a filtered scan of its sorted table view and
+rebuilds that view from scratch whenever a tuple's liveness changes.
+At join-heavy scales (the full Stanford backbone: 757k forwarding
+entries) those scans dominate evaluation.
 
 :class:`ColumnarStore` keeps each relation *column-wise* — an
 append-only row arena plus one Python list per argument position — and
@@ -17,8 +17,8 @@ maintains two kinds of sorted secondary projections incrementally:
   buckets are lists kept sorted by ``sort_key`` — a probe returns the
   bucket directly, no per-probe sort.
 
-Projections are registered by the join planner (exactly like the
-interpreted store's indexes) and bulk-built from the column arrays.
+Projections are registered by the join planner and bulk-built from the
+column arrays.
 Everything here is a pure cache over the inherited record tables:
 ``__getstate__`` drops it all, so replay-cache snapshots and journal
 resume payloads stay small and rebuild lazily after a restore —
@@ -126,14 +126,23 @@ class ColumnarStore(Store):
         # bisection.  Replaces the base class's invalidate-and-resort
         # _sorted_cache strategy.
         self._sorted_live: Dict[str, List[Tuple]] = {}
+        # Equality projections keyed on one *or more* argument
+        # positions, registered up front by the join planner and also
+        # built lazily on first use; either way they are maintained
+        # incrementally on every liveness change.  Layout:
+        #   table -> positions tuple -> value vector -> sorted live tuples
+        self._indexes: Dict[
+            str, Dict[PyTuple[int, ...], Dict[PyTuple, List[Tuple]]]
+        ] = {}
 
     def __getstate__(self):
         state = super().__getstate__()
-        # Arenas and sorted views are caches over _tables, like the
-        # base class's indexes: drop them from snapshots and rebuild
-        # lazily after restore.
+        # Arenas, sorted views and projections are caches over _tables,
+        # like the base class's sorted views: drop them from snapshots
+        # and rebuild lazily after restore.
         state["_columnar"] = {}
         state["_sorted_live"] = {}
+        state["_indexes"] = {}
         return state
 
     # -- lazily-built projections --------------------------------------------
@@ -169,9 +178,18 @@ class ColumnarStore(Store):
         # contract).
         return list(self._live_sorted(table))
 
+    def tuples_matching(self, table: str, position: int, value) -> List[Tuple]:
+        return self.tuples_matching_at(table, (position,), (value,))
+
     def tuples_matching_at(
         self, table: str, positions: PyTuple[int, ...], values: PyTuple
     ) -> List[Tuple]:
+        """Live tuples with ``args[p] == v`` for each (p, v) pair.
+
+        The multi-position form serves body atoms with several bound
+        arguments from one composite projection instead of filtering
+        the largest single-position bucket.
+        """
         index = self._indexes.get(table, _EMPTY).get(positions)
         if index is None:
             index = self.register_index(table, positions)
@@ -184,6 +202,12 @@ class ColumnarStore(Store):
     def register_index(
         self, table: str, positions: PyTuple[int, ...]
     ) -> Dict[PyTuple, List[Tuple]]:
+        """Ensure a projection on ``positions`` exists for ``table``.
+
+        Called by the join planner at rule-registration time, so the
+        projection is maintained incrementally from the first insert
+        instead of being rebuilt from a table scan mid-join.
+        """
         positions = tuple(positions)
         per_table = self._indexes.setdefault(table, {})
         index = per_table.get(positions)

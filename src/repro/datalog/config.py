@@ -1,74 +1,40 @@
-"""Unified evaluation-mode configuration for the Datalog engine.
+"""Evaluation-mode configuration for the Datalog engine.
 
-The evaluation-mode surface used to be two positional booleans
-(``use_indexes=`` and ``lazy=``) threaded through :func:`repro.replay.replay`,
-:class:`repro.replay.Execution`, :class:`repro.datalog.Engine` and the
-``Session`` facade.  With a third backend (the compiled columnar
-evaluator) that encoding stops scaling, so the knobs are unified into
-one frozen, validated :class:`EngineConfig`:
+One frozen, validated :class:`EngineConfig` selects the evaluation
+backend everywhere a run is configured (:func:`repro.replay.replay`,
+:class:`repro.replay.Execution`, :class:`repro.datalog.Engine`, the
+emulator, the ``Session`` facade, the CLI and the service protocol):
 
-- ``backend`` selects the join evaluator:
+- ``"compiled"`` — columnar relation storage
+  (:class:`repro.datalog.columnar.ColumnarStore`) plus per-rule compiled
+  join closures (:mod:`repro.datalog.compiled`), lazy provenance
+  recording, and copy-on-write configuration forks in the emulator.
+  The default and the only fast path.
+- ``"reference"`` — linear scans over sorted tables, eager
+  seven-vertex provenance construction, and full configuration clones
+  with linear flow-table scans in the emulator.  It is the independent
+  oracle the equivalence tests compare the fast path against.
 
-  - ``"compiled"`` — columnar relation storage
-    (:class:`repro.datalog.columnar.ColumnarStore`) plus per-rule
-    compiled join closures (:mod:`repro.datalog.compiled`), the
-    default and fastest mode;
-  - ``"indexed"`` — the interpreted join with composite secondary
-    indexes (the pre-compiled fast path);
-  - ``"reference"`` — linear scans over sorted tables, the slow
-    reference evaluator the equivalence tests compare against.
-
-- ``provenance`` selects the recorder's graph mode:
-
-  - ``"annotated"`` — lazy arena recording plus per-tuple
-    min-height/first-derivation annotations from which minimal proof
-    trees are reconstructed without materializing the graph (default);
-  - ``"lazy"`` — lazy arena recording only;
-  - ``"eager"`` — classic eager seven-vertex graph construction.
-
-Every combination produces byte-identical tables, graphs, trees and
-reports — backends change cost, never results (see
+Both backends produce byte-identical tables, graphs, trees and reports
+— a backend changes cost, never results (see
 ``tests/datalog/test_index_equivalence.py``).
-
-The old boolean knobs remain accepted everywhere as deprecated shims;
-:meth:`EngineConfig.resolve` performs the mapping and emits the
-:class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Union
 
-__all__ = ["EngineConfig", "BACKENDS", "PROVENANCE_MODES"]
+__all__ = ["EngineConfig", "BACKENDS"]
 
-BACKENDS = ("compiled", "indexed", "reference")
-PROVENANCE_MODES = ("annotated", "lazy", "eager")
-
-# The provenance mode each backend pairs with when only a backend name
-# is given (e.g. ``--engine reference`` on the CLI): the reference
-# evaluator keeps the reference recorder, the fast backends keep their
-# matching fast recorders.
-_NATURAL_PROVENANCE = {
-    "compiled": "annotated",
-    "indexed": "lazy",
-    "reference": "eager",
-}
-
-_DEPRECATION = (
-    "the use_indexes=/lazy= booleans are deprecated; pass "
-    "engine=EngineConfig(backend=..., provenance=...) "
-    "(or a backend name) instead"
-)
+BACKENDS = ("compiled", "reference")
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Validated, immutable selection of evaluation backend + provenance."""
+    """Validated, immutable selection of the evaluation backend."""
 
     backend: str = "compiled"
-    provenance: str = "annotated"
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -76,122 +42,23 @@ class EngineConfig:
                 f"unknown engine backend {self.backend!r}; "
                 f"expected one of {', '.join(BACKENDS)}"
             )
-        if self.provenance not in PROVENANCE_MODES:
-            raise ValueError(
-                f"unknown provenance mode {self.provenance!r}; "
-                f"expected one of {', '.join(PROVENANCE_MODES)}"
-            )
-
-    # -- legacy bridge --------------------------------------------------------
-
-    @property
-    def use_indexes(self) -> bool:
-        """Legacy view: everything but the reference backend indexes."""
-        return self.backend != "reference"
-
-    @property
-    def lazy(self) -> bool:
-        """Legacy view: everything but eager records lazily."""
-        return self.provenance != "eager"
-
-    @classmethod
-    def from_legacy(
-        cls, use_indexes: bool = True, lazy: bool = True
-    ) -> "EngineConfig":
-        """Map the old boolean knobs onto the modes they used to mean."""
-        return cls(
-            backend="indexed" if use_indexes else "reference",
-            provenance="lazy" if lazy else "eager",
-        )
-
-    # -- construction ---------------------------------------------------------
 
     @classmethod
     def coerce(
-        cls, value: Union[None, "EngineConfig", str, Mapping]
+        cls, value: Union[None, "EngineConfig", str]
     ) -> "EngineConfig":
         """Accept the shapes user-facing layers see.
 
-        ``None`` means the default, a backend name selects that backend
-        with its natural provenance mode, and a mapping (the service
-        protocol's ``engine`` option block) is validated field by
-        field.  Raises :class:`ValueError` on anything else.
+        ``None`` means the default and a backend name selects that
+        backend.  Raises :class:`ValueError` on anything else.
         """
         if value is None:
             return cls()
         if isinstance(value, cls):
             return value
-        if isinstance(value, str):
-            if value not in BACKENDS:
-                raise ValueError(
-                    f"unknown engine backend {value!r}; "
-                    f"expected one of {', '.join(BACKENDS)}"
-                )
-            return cls(backend=value, provenance=_NATURAL_PROVENANCE[value])
-        if isinstance(value, Mapping):
-            unknown = set(value) - {"backend", "provenance"}
-            if unknown:
-                raise ValueError(
-                    f"unknown engine option field(s) "
-                    f"{', '.join(sorted(map(repr, unknown)))}; "
-                    f"expected backend/provenance"
-                )
-            backend = value.get("backend", cls.backend)
-            if not isinstance(backend, str) or backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown engine backend {backend!r}; "
-                    f"expected one of {', '.join(BACKENDS)}"
-                )
-            provenance = value.get(
-                "provenance", _NATURAL_PROVENANCE[backend]
+        if not isinstance(value, str):
+            raise ValueError(
+                f"cannot interpret {value!r} as an EngineConfig; pass an "
+                f"EngineConfig or a backend name"
             )
-            if (
-                not isinstance(provenance, str)
-                or provenance not in PROVENANCE_MODES
-            ):
-                raise ValueError(
-                    f"unknown provenance mode {provenance!r}; "
-                    f"expected one of {', '.join(PROVENANCE_MODES)}"
-                )
-            return cls(backend=backend, provenance=provenance)
-        raise ValueError(
-            f"cannot interpret {value!r} as an EngineConfig; pass an "
-            f"EngineConfig, a backend name, or a backend/provenance mapping"
-        )
-
-    @classmethod
-    def resolve(
-        cls,
-        engine: Union[None, "EngineConfig", str, Mapping] = None,
-        use_indexes: Optional[bool] = None,
-        lazy: Optional[bool] = None,
-        stacklevel: int = 3,
-    ) -> "EngineConfig":
-        """One resolution path for every layer that accepts both APIs.
-
-        The deprecated booleans win over ``engine`` only in the sense
-        that passing either of them is an error when ``engine`` is also
-        given — mixing the two APIs has no sensible meaning.
-        """
-        if use_indexes is not None or lazy is not None:
-            if engine is not None:
-                raise ValueError(
-                    "pass either engine= or the deprecated "
-                    "use_indexes=/lazy= booleans, not both"
-                )
-            warnings.warn(_DEPRECATION, DeprecationWarning,
-                          stacklevel=stacklevel)
-            return cls.from_legacy(
-                use_indexes=True if use_indexes is None else use_indexes,
-                lazy=True if lazy is None else lazy,
-            )
-        return cls.coerce(engine)
-
-    # -- serialization --------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """The wire form used by the service protocol's option block."""
-        return {"backend": self.backend, "provenance": self.provenance}
-
-    def describe(self) -> str:
-        return f"{self.backend}/{self.provenance}"
+        return cls(backend=value)

@@ -46,21 +46,17 @@ class Engine:
         faults=None,
         step_limit: Optional[int] = None,
         telemetry=None,
-        use_indexes: Optional[bool] = None,
         config: Optional[EngineConfig] = None,
     ):
         self.program = program
         self.recorder = recorder
         # Backend selection (see repro.datalog.config): "compiled" runs
-        # per-rule closures over a columnar store, "indexed" is the
-        # interpreted join with composite indexes, and "reference" is
-        # the linear-scan mode that exists to *prove* the fast paths
-        # change cost, not results
-        # (see tests/datalog/test_index_equivalence.py).  The old
-        # use_indexes= boolean is a deprecated shim resolved here.
-        self.config = EngineConfig.resolve(config, use_indexes=use_indexes)
-        self._backend = self.config.backend
-        self._use_indexes = self.config.use_indexes
+        # per-rule closures over a columnar store, and "reference" is
+        # the linear-scan mode that exists to *prove* the fast path
+        # changes cost, not results
+        # (see tests/datalog/test_index_equivalence.py).
+        self.config = EngineConfig.coerce(config)
+        self._compiled = self.config.backend == "compiled"
         # Optional FaultInjector applied to cross-node message delivery
         # (drop/duplicate/reorder/delay); None means perfect links.
         self.faults = faults
@@ -76,7 +72,7 @@ class Engine:
         self.deadline = None
         self.store = (
             ColumnarStore(program.schemas)
-            if self._backend == "compiled"
+            if self._compiled
             else Store(program.schemas)
         )
         self._queue: deque = deque()
@@ -126,35 +122,6 @@ class Engine:
         # picklable; like the join plans they rebuild on first firing.
         state["_compiled_plans"] = {}
         return state
-
-    # -- deprecated legacy knob ----------------------------------------------
-
-    @property
-    def use_indexes(self) -> bool:
-        import warnings
-
-        warnings.warn(
-            "Engine.use_indexes is deprecated; read engine.config instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.config.use_indexes
-
-    @use_indexes.setter
-    def use_indexes(self, value: bool) -> None:
-        import warnings
-
-        warnings.warn(
-            "Engine.use_indexes is deprecated; pass "
-            "config=EngineConfig(...) at construction instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.config = EngineConfig.from_legacy(
-            use_indexes=value, lazy=self.config.lazy
-        )
-        self._backend = self.config.backend
-        self._use_indexes = self.config.use_indexes
 
     # -- public API ----------------------------------------------------------
 
@@ -469,7 +436,7 @@ class Engine:
     ) -> Iterator[PyTuple[Dict[str, object], PyTuple]]:
         """Backend dispatch: compiled closure when available, else the
         interpreted join.  Both yield byte-identical bindings."""
-        if self._backend == "compiled":
+        if self._compiled:
             key = (rule.name, trigger_index)
             plan = self._compiled_plans.get(key, _UNCOMPILED)
             if plan is _UNCOMPILED:
@@ -494,7 +461,7 @@ class Engine:
         pending_conds = list(rule.conditions)
         if not self._settle(env, pending_assigns, pending_conds):
             return
-        plan = self._plan_for(rule, trigger_index) if self._use_indexes else None
+        plan = self._plan_for(rule, trigger_index) if self._compiled else None
         remaining = [i for i in range(len(rule.body)) if i != trigger_index]
         slots: List[Optional[Tuple]] = [None] * len(rule.body)
         slots[trigger_index] = delta
@@ -612,44 +579,28 @@ class Engine:
 
         ``spec`` is the planned ``(positions, args)`` pair from
         :meth:`_build_plan`; when present, one composite-index probe
-        serves every bound position at once.  Without a plan (callers
-        outside a rule firing) the path falls back to the first bound
-        position it finds.  Both paths return candidates in the same
-        deterministic order a full scan would (a sorted index bucket is
-        exactly the matching slice of the sorted table), so the access
-        path changes cost, never results.
+        serves every bound position at once.  ``None`` means the atom
+        has no bound position (or the reference backend runs, which
+        plans nothing) and needs a full scan.  Both paths return
+        candidates in the same deterministic order (a sorted index
+        bucket is exactly the matching slice of the sorted table), so
+        the access path changes cost, never results.
         """
-        if not self._use_indexes:
+        if spec is None:
+            if self._compiled and self.telemetry is not None:
+                self.telemetry.inc("engine.index.misses")
             return self.store.tuples(atom.table)
-        telemetry = self.telemetry
-        if spec is not None:
-            positions, spec_args = spec
-            if telemetry is not None:
-                telemetry.inc("engine.index.hits")
-            return self.store.tuples_matching_at(
-                atom.table,
-                positions,
-                tuple(
-                    arg.value if isinstance(arg, Const) else env[arg.name]
-                    for arg in spec_args
-                ),
-            )
-        for position, arg in enumerate(atom.args):
-            if isinstance(arg, Const):
-                if telemetry is not None:
-                    telemetry.inc("engine.index.hits")
-                return self.store.tuples_matching(
-                    atom.table, position, arg.value
-                )
-            if isinstance(arg, Var) and arg.name in env:
-                if telemetry is not None:
-                    telemetry.inc("engine.index.hits")
-                return self.store.tuples_matching(
-                    atom.table, position, env[arg.name]
-                )
-        if telemetry is not None:
-            telemetry.inc("engine.index.misses")
-        return self.store.tuples(atom.table)
+        positions, spec_args = spec
+        if self.telemetry is not None:
+            self.telemetry.inc("engine.index.hits")
+        return self.store.tuples_matching_at(
+            atom.table,
+            positions,
+            tuple(
+                arg.value if isinstance(arg, Const) else env[arg.name]
+                for arg in spec_args
+            ),
+        )
 
     def _settle(self, env, assigns, conds, final: bool = False) -> bool:
         """Evaluate assignments/conditions whose variables are bound.

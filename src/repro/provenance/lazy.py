@@ -32,45 +32,7 @@ from ..errors import ReproError
 from .graph import DerivationInfo, ProvenanceGraph
 from .vertices import VertexKind
 
-__all__ = ["LazyProvenanceGraph", "ProofNode", "apply_event"]
-
-
-class ProofNode:
-    """One node of a reconstructed minimal proof tree.
-
-    A leaf (``rule is None``) is a base insertion; an inner node is the
-    minimal-height derivation of its tuple, with one child per body
-    member in body order.
-    """
-
-    __slots__ = ("tuple", "rule", "children", "height")
-
-    def __init__(self, tup, rule, children, height):
-        self.tuple = tup
-        self.rule = rule
-        self.children = tuple(children)
-        self.height = height
-
-    def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
-
-    def render(self, indent: int = 0) -> str:
-        label = (
-            str(self.tuple)
-            if self.rule is None
-            else f"{self.tuple} <= {self.rule}"
-        )
-        lines = ["  " * indent + label]
-        lines.extend(
-            child.render(indent + 1) for child in self.children
-        )
-        return "\n".join(lines)
-
-    def __repr__(self):
-        return (
-            f"ProofNode({self.tuple}, rule={self.rule!r}, "
-            f"height={self.height}, size={self.size()})"
-        )
+__all__ = ["LazyProvenanceGraph", "apply_event"]
 
 
 def apply_event(graph: ProvenanceGraph, event: tuple) -> None:
@@ -163,7 +125,7 @@ class LazyProvenanceGraph:
     references (``ReplayResult.graph``, emulation views) stay valid.
     """
 
-    def __init__(self, recorder=None, annotated: bool = False):
+    def __init__(self, recorder=None):
         # Backref for telemetry: read dynamically on every use, because
         # replay-cache restores reattach a fresh Telemetry to the
         # recorder after unpickling.
@@ -177,15 +139,6 @@ class LazyProvenanceGraph:
         self._derive_ids: Set[int] = set()
         self._derivations: Dict[int, DerivationInfo] = {}
         self._vertex_count = 0
-        # Subsumption-based proof annotations (provenance="annotated",
-        # after Souffle's height annotations): per-tuple live base
-        # support count and, per head tuple, the heights of its live
-        # derivations recorded at derive time.  From these,
-        # minimal_proof() reconstructs an exact minimal proof tree
-        # without materializing the graph.
-        self._annotated = annotated
-        self._base_live: Dict[Tuple, int] = {}
-        self._live_ders: Dict[Tuple, Dict[int, int]] = {}
 
     # -- recording (called by the owning recorder) ---------------------------
 
@@ -249,8 +202,6 @@ class LazyProvenanceGraph:
             self._note_vertex(telemetry, "underive", edges)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown arena event {kind!r}")
-        if self._annotated:
-            self._annotate(event)
         if self._graph is not None:
             # Already materialized (e.g. a tree was projected mid-run):
             # keep the eager graph current instead of re-growing the arena.
@@ -264,48 +215,6 @@ class LazyProvenanceGraph:
             telemetry.inc("recorder.vertices." + kind_name)
             if edges:
                 telemetry.inc("recorder.edges", edges)
-
-    def _annotate(self, event: tuple) -> None:
-        """Maintain min-height/first-derivation annotations for one event.
-
-        Heights follow the Souffle subsumption scheme: a base-supported
-        tuple has height 0; a derivation's height is one more than the
-        tallest of its body members' minimal heights *at derive time*.
-        Keeping every live derivation's height (rather than one global
-        minimum) makes underivation exact: the minimum over the
-        survivors is the tuple's new minimal height.
-        """
-        kind = event[0]
-        if kind == "ins":
-            tup = event[2]
-            self._base_live[tup] = self._base_live.get(tup, 0) + 1
-        elif kind == "del":
-            tup = event[2]
-            count = self._base_live.get(tup, 0)
-            if count:
-                self._base_live[tup] = count - 1
-        elif kind == "der":
-            info = event[2]
-            height = 1 + max(
-                (self._height_of(member) for member in info.body),
-                default=0,
-            )
-            self._live_ders.setdefault(info.head, {})[info.id] = height
-        elif kind == "und":
-            derivation_id = event[5]
-            ders = self._live_ders.get(event[2])
-            if ders is not None:
-                ders.pop(derivation_id, None)
-
-    def _height_of(self, tup: Tuple) -> int:
-        if self._base_live.get(tup):
-            return 0
-        ders = self._live_ders.get(tup)
-        if ders:
-            return min(ders.values())
-        # Unknown member (e.g. its report was lost under lossy
-        # logging): treat as a leaf so proofs stay constructible.
-        return 0
 
     def _close(self, tup: Tuple, time: int) -> None:
         # Mirror ProvenanceGraph.close_exist: end the latest open interval.
@@ -365,66 +274,6 @@ class LazyProvenanceGraph:
         if self._graph is not None:
             return len(self._graph)
         return self._vertex_count
-
-    # -- annotation-based proof reconstruction -------------------------------
-
-    @property
-    def annotated(self) -> bool:
-        return self._annotated
-
-    def height_of(self, tup: Tuple) -> int:
-        """The tuple's current minimal proof height (annotated mode)."""
-        self._require_annotations()
-        return self._height_of(tup)
-
-    def minimal_proof(self, tup: Tuple) -> ProofNode:
-        """Reconstruct an exact minimal proof tree for ``tup`` on demand.
-
-        Works entirely from the recorded annotations — no graph
-        materialization (metered as ``provenance.annotated.proofs``).
-        At every tuple the live derivation with the smallest
-        (height, derivation id) wins, so the result is deterministic
-        and minimal under the recorded heights; ties and recursion are
-        broken by derivation id (record order) and a path guard.
-        """
-        self._require_annotations()
-        telemetry = (
-            self._recorder.telemetry if self._recorder is not None else None
-        )
-        if telemetry is not None:
-            telemetry.inc("provenance.annotated.proofs")
-        return self._prove(tup, frozenset())
-
-    def _prove(self, tup: Tuple, path: frozenset) -> ProofNode:
-        if self._base_live.get(tup):
-            return ProofNode(tup, None, (), 0)
-        ders = self._live_ders.get(tup)
-        if ders:
-            on_path = path | {tup}
-            for derivation_id, _height in sorted(
-                ders.items(), key=lambda item: (item[1], item[0])
-            ):
-                info = self._derivations.get(derivation_id)
-                if info is None or any(m in on_path for m in info.body):
-                    continue
-                children = [self._prove(m, on_path) for m in info.body]
-                height = 1 + max(
-                    (child.height for child in children), default=0
-                )
-                return ProofNode(tup, info.rule_name, children, height)
-        if self._insert_counts.get(tup):
-            # Base support that was later deleted: the tuple's original
-            # insertion still proves the (historic) body of a
-            # non-revocable derivation above it.
-            return ProofNode(tup, None, (), 0)
-        raise ReproError(f"no proof recorded for {tup}")
-
-    def _require_annotations(self) -> None:
-        if not self._annotated:
-            raise ReproError(
-                "proof annotations were not recorded; run with "
-                "EngineConfig(provenance='annotated')"
-            )
 
     # -- materialization ------------------------------------------------------
 

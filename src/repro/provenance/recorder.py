@@ -17,10 +17,8 @@ The third mode (external specifications over packet traces) lives in
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional, Sequence
 
-from ..datalog.config import PROVENANCE_MODES
 from ..datalog.state import Derivation
 from ..datalog.tuples import Tuple
 from ..errors import ReproError
@@ -35,22 +33,12 @@ __all__ = ["ProvenanceRecorder"]
 class ProvenanceRecorder:
     """Builds a :class:`ProvenanceGraph` from engine or reported events.
 
-    ``provenance`` selects the construction mode (see
-    :mod:`repro.datalog.config`):
-
-    - ``"annotated"`` (default) — lazy arena recording plus per-tuple
-      min-height/first-derivation annotations; minimal proof trees are
-      reconstructed on demand via ``graph.minimal_proof()`` without
-      materializing a single vertex;
-    - ``"lazy"`` — arena recording only (see
-      :mod:`repro.provenance.lazy`); the seven-vertex graph is
-      reconstructed when something projects a tree or serializes;
-    - ``"eager"`` — classic eager construction, the reference mode the
-      equivalence tests compare against.  Passing an explicit ``graph``
-      also forces eager mode.
-
-    The old ``lazy=`` boolean is a deprecated shim for
-    ``provenance="lazy"``/``"eager"``.
+    By default the recorder records lazily (see
+    :mod:`repro.provenance.lazy`): each kept event goes to an arena and
+    the seven-vertex graph is reconstructed when something projects a
+    tree or serializes.  Passing an explicit ``graph`` forces classic
+    eager construction into it — the reference mode the equivalence
+    tests compare against.
     """
 
     def __init__(
@@ -58,40 +46,12 @@ class ProvenanceRecorder:
         graph: Optional[ProvenanceGraph] = None,
         faults=None,
         telemetry=None,
-        lazy: Optional[bool] = None,
-        provenance: Optional[str] = None,
     ):
-        if lazy is not None:
-            if provenance is not None:
-                raise ValueError(
-                    "pass either provenance= or the deprecated lazy= "
-                    "boolean, not both"
-                )
-            warnings.warn(
-                "ProvenanceRecorder(lazy=) is deprecated; pass "
-                "provenance='lazy'/'eager' (or an EngineConfig upstream)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            provenance = "lazy" if lazy else "eager"
-        if provenance is None:
-            provenance = "annotated"
-        if provenance not in PROVENANCE_MODES:
-            raise ValueError(
-                f"unknown provenance mode {provenance!r}; expected one "
-                f"of {', '.join(PROVENANCE_MODES)}"
-            )
-        self.provenance = provenance
         if graph is not None:
             self.graph = graph
             self._lazy = None
-        elif provenance == "eager":
-            self.graph = ProvenanceGraph()
-            self._lazy = None
         else:
-            self._lazy = LazyProvenanceGraph(
-                self, annotated=(provenance == "annotated")
-            )
+            self._lazy = LazyProvenanceGraph(self)
             self.graph = self._lazy
         # Optional FaultInjector modelling lossy provenance logging: a
         # fraction of events is acknowledged (the clock still advances)

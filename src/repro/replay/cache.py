@@ -111,9 +111,9 @@ class ReplayCache:
         only matters when a plan is present (it gates the prov-loss
         injector), so it is collapsed otherwise.  ``engine`` (an
         :class:`repro.datalog.config.EngineConfig`) keys snapshots by
-        backend/provenance mode: results are byte-identical across
-        modes, but the pickled *state* is not (different store classes,
-        annotation payloads), so snapshots never cross modes.
+        backend: results are byte-identical across backends, but the
+        pickled *state* is not (different store classes, lazy arena vs
+        eager graph), so snapshots never cross backends.
         """
         faults_fp = "" if faults is None else faults.describe()
         return (
@@ -122,7 +122,7 @@ class ReplayCache:
             faults_fp,
             bool(lossless) if faults is not None else False,
             bool(record),
-            "" if engine is None else engine.describe(),
+            "" if engine is None else engine.backend,
         )
 
     @staticmethod

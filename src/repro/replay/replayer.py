@@ -26,6 +26,16 @@ from .log import EventLog
 __all__ = ["Change", "ReplayResult", "replay"]
 
 
+def recorder_for(config: EngineConfig, faults=None, telemetry=None):
+    """A fresh recorder in the mode ``config``'s backend records in.
+
+    The compiled fast path records lazily; the reference oracle builds
+    the eager graph as events arrive.
+    """
+    graph = ProvenanceGraph() if config.backend == "reference" else None
+    return ProvenanceRecorder(graph, faults=faults, telemetry=telemetry)
+
+
 class Change:
     """One base-tuple change in Δ(B→G).
 
@@ -101,8 +111,6 @@ def replay(
     telemetry=None,
     cache=None,
     deadline=None,
-    use_indexes: Optional[bool] = None,
-    lazy: Optional[bool] = None,
     engine: Optional[EngineConfig] = None,
 ) -> ReplayResult:
     """Replay a log, applying ``changes`` just before ``anchor_index``.
@@ -126,14 +134,13 @@ def replay(
       snapshotted log prefix consistent with the change set, instead of
       re-deriving from scratch.  The cache never changes the outcome —
       snapshots are the pickled state of the identical computation.
-    - ``engine`` (an :class:`repro.datalog.config.EngineConfig`, a
-      backend name string, or a mapping) selects the evaluation backend
-      and provenance mode; the default is the compiled/annotated fast
-      path.  Every mode produces byte-identical results (the
-      equivalence tests rely on this) — only the cost changes.  The
-      old ``use_indexes``/``lazy`` booleans are deprecated shims.
+    - ``engine`` (an :class:`repro.datalog.config.EngineConfig` or a
+      backend name string) selects the evaluation backend; the default
+      is the compiled fast path.  Both backends produce byte-identical
+      results (the equivalence tests rely on this) — only the cost
+      changes.
     """
-    config = EngineConfig.resolve(engine, use_indexes=use_indexes, lazy=lazy)
+    config = EngineConfig.coerce(engine)
     changes = list(changes)
     removed = set()
     for change in changes:
@@ -188,10 +195,7 @@ def replay(
         else:
             engine_faults = logging_faults = None
         recorder = (
-            ProvenanceRecorder(
-                faults=logging_faults, telemetry=telemetry,
-                provenance=config.provenance,
-            )
+            recorder_for(config, faults=logging_faults, telemetry=telemetry)
             if record
             else None
         )

@@ -83,8 +83,8 @@ class Scenario:
     def _apply_engine(self) -> None:
         """Apply the ``engine`` param to both executions post-build.
 
-        Scenarios accept ``engine=`` (an EngineConfig, backend name, or
-        mapping) without per-scenario plumbing: the config is assigned
+        Scenarios accept ``engine=`` (an EngineConfig or a backend
+        name) without per-scenario plumbing: the config is assigned
         after the executions are built, so every diagnostic replay —
         where all the work happens — runs under it.  Backends are
         byte-identical in results, so applying post-build changes cost

@@ -29,7 +29,7 @@ from ..faults import FaultInjector
 from ..provenance.graph import ProvenanceGraph
 from ..provenance.recorder import ProvenanceRecorder
 from ..replay.log import PACKET_RECORD_BYTES, EventLog
-from ..replay.replayer import Change
+from ..replay.replayer import Change, recorder_for
 from . import model
 from .flowtable import FlowTable
 from .topology import Topology
@@ -270,12 +270,18 @@ class ExternalSpecReconstructor:
     resulting derivations.  Base tuples (wiring, flow entries) are
     reported lazily, the first time a derivation depends on them, which
     keeps the graph proportional to the traffic rather than to the
-    757k-entry configuration.
+    757k-entry configuration.  ``engine`` selects the recorder mode:
+    lazy for the compiled fast path, eager for the reference oracle.
     """
 
-    def __init__(self, config: NetworkConfig, faults=None):
+    def __init__(
+        self,
+        config: NetworkConfig,
+        faults=None,
+        engine: Optional[EngineConfig] = None,
+    ):
         self.config = config
-        self.recorder = ProvenanceRecorder(faults=faults)
+        self.recorder = recorder_for(EngineConfig.coerce(engine), faults=faults)
         self._reported: Set[Tuple] = set()
         self._injected: Set[PyTuple] = set()
 
@@ -612,8 +618,9 @@ class EmulatedNetworkExecution:
         # fixed purposes, so replays reproduce the same fault schedule.
         self.fault_plan = faults
         # Backend selection maps onto how each replay obtains its
-        # configuration copy: compiled forks (O(1) copy-on-write),
-        # indexed clones, reference clones and linear-scans lookups.
+        # configuration copy and records: compiled forks (O(1)
+        # copy-on-write) and records lazily; reference clones,
+        # linear-scans lookups and records eagerly.
         self.engine_config = EngineConfig.coerce(engine)
         self.log = self._build_log()
         self._materialized: Optional[EmulationReplayResult] = None
@@ -664,16 +671,14 @@ class EmulatedNetworkExecution:
         lossless: bool = True,
     ) -> EmulationReplayResult:
         started = _time.perf_counter()
-        backend = self.engine_config.backend
-        if backend == "compiled":
+        if self.engine_config.backend == "compiled":
             # O(1) copy-on-write: the shared entries are never copied,
             # only the handful the candidate changes touch.
             config = self.base_config.fork()
         else:
             config = self.base_config.clone()
-            if backend == "reference":
-                for table in config.tables.values():
-                    table.linear_scan = True
+            for table in config.tables.values():
+                table.linear_scan = True
         config.apply_changes(changes)
         if self.fault_plan is not None:
             network_faults = FaultInjector(self.fault_plan, "network")
@@ -689,7 +694,9 @@ class EmulatedNetworkExecution:
         for switch, pkt, src, dst in self.schedule:
             injected.add(pkt)
             network.inject(switch, pkt, src, dst)
-        reconstructor = ExternalSpecReconstructor(config, faults=logging_faults)
+        reconstructor = ExternalSpecReconstructor(
+            config, faults=logging_faults, engine=self.engine_config
+        )
         recorder = reconstructor.reconstruct(network.traces, injected)
         self.replay_seconds += _time.perf_counter() - started
         self.replay_count += 1

@@ -185,17 +185,12 @@ def parse_request(payload) -> Request:
         )
     engine = options.get("engine")
     if engine is not None:
-        # A backend name string or a {backend, provenance} object; an
-        # unknown backend is a typed protocol error at admission, never
-        # a worker crash.
-        if not isinstance(engine, (str, dict)):
-            raise ProtocolError(
-                "'engine' must be a backend name or an object with "
-                "backend/provenance fields"
-            )
+        # A backend name; anything else is a typed protocol error at
+        # admission, never a worker crash.
+        if not isinstance(engine, str):
+            raise ProtocolError("'engine' must be a backend name string")
         try:
-            options = dict(options)
-            options["engine"] = EngineConfig.coerce(engine).to_dict()
+            EngineConfig.coerce(engine)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc
     test_hold = payload.get("test_hold")

@@ -116,16 +116,16 @@ class DiagnosisServer:
         self.max_attempts = max(1, int(max_attempts))
         self.keep_journals = bool(keep_journals)
         self.default_deadline_s = default_deadline_s
-        # Engine option applied to work requests that carry none; the
-        # wire form of a validated EngineConfig (or None to keep the
-        # package default).  Validation happens here, at construction,
-        # so a bad --engine flag fails at server start, not per request.
+        # Engine option applied to work requests that carry none: a
+        # validated backend name (or None to keep the package default).
+        # Validation happens here, at construction, so a bad --engine
+        # flag fails at server start, not per request.
         if default_engine is None:
             self.default_engine = None
         else:
             from ..datalog.config import EngineConfig
 
-            self.default_engine = EngineConfig.coerce(default_engine).to_dict()
+            self.default_engine = EngineConfig.coerce(default_engine).backend
         self.allow_test_hooks = bool(allow_test_hooks)
         self.drain_timeout_s = drain_timeout_s
         self.health_interval_s = health_interval_s
@@ -315,7 +315,7 @@ class DiagnosisServer:
         if request.deadline_s is None:
             request.deadline_s = self.default_deadline_s
         if self.default_engine is not None:
-            request.options.setdefault("engine", dict(self.default_engine))
+            request.options.setdefault("engine", self.default_engine)
         ctx = self._trace_for(request)
         span = None
         if self.telemetry is not None:

@@ -160,20 +160,12 @@ class TestExplicitMode:
 
 
 class TestDeprecationShims:
-    def test_top_level_diffprov_warns_once_per_access(self):
+    def test_top_level_diffprov_is_gone(self):
         import repro
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cls = repro.DiffProv
-            options_cls = repro.DiffProvOptions
-        assert cls is DiffProv
-        assert options_cls is DiffProvOptions
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 2
-        assert all("repro.api.Session" in m or "docs/api.md" in m
-                   for m in messages)
+        assert not hasattr(repro, "DiffProv")
+        assert not hasattr(repro, "DiffProvOptions")
+        assert "DiffProv" not in repro.__all__
 
     def test_canonical_submodule_import_is_warning_free(self):
         with warnings.catch_warnings():

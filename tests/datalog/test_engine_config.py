@@ -1,11 +1,12 @@
-"""The unified EngineConfig API: validation, coercion, legacy shims.
+"""The EngineConfig API: validation, coercion, and outside-input checks.
 
-One frozen dataclass replaces the old ``use_indexes=``/``lazy=``
-boolean pair everywhere (replay(), Execution, Engine, Session, CLI,
-service protocol).  These tests pin its contract: validated enums,
-every accepted input shape, the legacy mapping (with its
-DeprecationWarning), and the typed protocol error for malformed
-``engine`` option blocks.
+One frozen dataclass with one field, ``backend``, selects the
+evaluation mode everywhere (replay(), Execution, Engine, Session, CLI,
+service protocol): the compiled fast path or the reference oracle.
+These tests pin its contract — a validated enum, every accepted input
+shape, and that each outside input (the service protocol's ``engine``
+option, the CLI's ``--engine`` flag) rejects removed or malformed modes
+at admission with a typed error rather than a worker crash.
 """
 
 import dataclasses
@@ -13,38 +14,37 @@ import json
 
 import pytest
 
-from repro.datalog import BACKENDS, PROVENANCE_MODES, EngineConfig
-from repro.datalog.engine import Engine
-from repro.replay.execution import Execution
+from repro.cli import main
+from repro.datalog import BACKENDS, EngineConfig
 from repro.service.protocol import ProtocolError, parse_request
 
 
 class TestValidation:
-    def test_default_is_compiled_annotated(self):
+    def test_default_is_compiled(self):
         config = EngineConfig()
         assert config.backend == "compiled"
-        assert config.provenance == "annotated"
-        assert config.describe() == "compiled/annotated"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("provenance", PROVENANCE_MODES)
-    def test_every_combination_constructs(self, backend, provenance):
-        config = EngineConfig(backend=backend, provenance=provenance)
-        assert config.to_dict() == {
-            "backend": backend, "provenance": provenance
-        }
+    def test_exactly_two_backends(self):
+        assert BACKENDS == ("compiled", "reference")
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "backend"
+        ]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown engine backend"):
             EngineConfig(backend="vectorized")
 
-    def test_unknown_provenance_rejected(self):
-        with pytest.raises(ValueError, match="unknown provenance mode"):
-            EngineConfig(provenance="graphless")
+    def test_removed_indexed_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            EngineConfig(backend="indexed")
+
+    def test_provenance_field_is_gone(self):
+        with pytest.raises(TypeError):
+            EngineConfig(provenance="lazy")
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            EngineConfig().backend = "indexed"
+            EngineConfig().backend = "reference"
 
 
 class TestCoerce:
@@ -52,28 +52,12 @@ class TestCoerce:
         assert EngineConfig.coerce(None) == EngineConfig()
 
     def test_instance_passes_through(self):
-        config = EngineConfig(backend="indexed")
+        config = EngineConfig(backend="reference")
         assert EngineConfig.coerce(config) is config
 
-    @pytest.mark.parametrize(
-        "name,provenance",
-        [("compiled", "annotated"), ("indexed", "lazy"),
-         ("reference", "eager")],
-    )
-    def test_backend_name_picks_natural_provenance(self, name, provenance):
-        config = EngineConfig.coerce(name)
-        assert config.backend == name
-        assert config.provenance == provenance
-
-    def test_mapping_is_validated_field_by_field(self):
-        config = EngineConfig.coerce(
-            {"backend": "indexed", "provenance": "eager"}
-        )
-        assert config == EngineConfig(backend="indexed", provenance="eager")
-
-    def test_mapping_with_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine option field"):
-            EngineConfig.coerce({"backend": "compiled", "workers": 4})
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_backend_name_selects_that_backend(self, name):
+        assert EngineConfig.coerce(name) == EngineConfig(backend=name)
 
     def test_bad_name_rejected(self):
         with pytest.raises(ValueError, match="unknown engine backend"):
@@ -83,54 +67,9 @@ class TestCoerce:
         with pytest.raises(ValueError, match="cannot interpret"):
             EngineConfig.coerce(42)
 
-
-class TestLegacyBridge:
-    def test_from_legacy_maps_the_old_modes(self):
-        assert EngineConfig.from_legacy() == EngineConfig(
-            backend="indexed", provenance="lazy"
-        )
-        assert EngineConfig.from_legacy(
-            use_indexes=False, lazy=False
-        ) == EngineConfig(backend="reference", provenance="eager")
-
-    def test_legacy_views(self):
-        assert EngineConfig(backend="compiled").use_indexes
-        assert not EngineConfig(backend="reference").use_indexes
-        assert EngineConfig(provenance="lazy").lazy
-        assert not EngineConfig(provenance="eager").lazy
-
-    def test_resolve_booleans_warn(self):
-        with pytest.warns(DeprecationWarning, match="use_indexes=/lazy="):
-            config = EngineConfig.resolve(use_indexes=False)
-        assert config == EngineConfig(backend="reference", provenance="lazy")
-
-    def test_resolve_rejects_mixing_apis(self):
-        with pytest.raises(ValueError, match="not both"):
-            EngineConfig.resolve(engine="compiled", lazy=False)
-
-    def test_resolve_engine_only_is_silent(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert EngineConfig.resolve("reference").backend == "reference"
-
-    def test_execution_boolean_attributes_warn(self, tmp_path):
-        from repro.datalog.rules import Program
-
-        execution = Execution(Program(), "legacy")
-        with pytest.warns(DeprecationWarning):
-            assert execution.use_indexes
-        with pytest.warns(DeprecationWarning):
-            execution.lazy_provenance = False
-        assert execution.engine_config.provenance == "eager"
-
-    def test_engine_use_indexes_kwarg_warns(self):
-        from repro.datalog.rules import Program
-
-        with pytest.warns(DeprecationWarning):
-            engine = Engine(Program(), use_indexes=False)
-        assert engine.config.backend == "reference"
+    def test_mapping_rejected(self):
+        with pytest.raises(ValueError, match="cannot interpret"):
+            EngineConfig.coerce({"backend": "compiled"})
 
 
 class TestProtocolOption:
@@ -146,23 +85,47 @@ class TestProtocolOption:
 
     def test_valid_engine_block_is_normalized(self):
         request = parse_request(self._request("reference"))
-        assert request.options["engine"] == {
-            "backend": "reference", "provenance": "eager"
-        }
-
-    def test_mapping_block_accepted(self):
-        request = parse_request(
-            self._request({"backend": "compiled", "provenance": "lazy"})
-        )
-        assert request.options["engine"] == {
-            "backend": "compiled", "provenance": "lazy"
-        }
+        assert request.options["engine"] == "reference"
 
     def test_unknown_backend_is_a_typed_protocol_error(self):
         with pytest.raises(ProtocolError) as excinfo:
             parse_request(self._request("warp-drive"))
         assert "unknown engine backend" in str(excinfo.value)
 
+    def test_removed_indexed_backend_is_a_typed_protocol_error(self):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(self._request("indexed"))
+        assert "unknown engine backend" in str(excinfo.value)
+
+    def test_object_form_is_a_typed_protocol_error(self):
+        with pytest.raises(ProtocolError, match="backend name string"):
+            parse_request(
+                self._request({"backend": "compiled", "provenance": "lazy"})
+            )
+
     def test_non_string_non_mapping_is_a_typed_protocol_error(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="backend name string"):
             parse_request(self._request(17))
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagnose", "SDN1", "--engine", "indexed"],
+            ["diagnose", "SDN1", "--provenance", "lazy"],
+            ["stanford", "--engine", "indexed"],
+            ["stanford", "--provenance", "eager"],
+            ["serve", "--engine", "indexed"],
+        ],
+    )
+    def test_removed_modes_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "indexed" in err or "--provenance" in err
+
+    def test_reference_engine_accepted(self, capsys):
+        assert main(["diagnose", "SDN1", "--engine", "reference"]) == 0
+        assert "root-cause" in capsys.readouterr().out

@@ -1,22 +1,24 @@
 """Backend selection must be invisible in every observable.
 
-The evaluation backends (compiled closures over the columnar store,
-the indexed interpreter, and the linear-scan reference evaluator) are
-licensed by one claim: they change cost, never results.  These tests
-hold all three — ``EngineConfig("compiled")``, ``("indexed")``, and
-``("reference")``, each with its natural provenance mode — against each
-other across the paper's scenarios and assert identical table
-contents, identical provenance graphs vertex-for-vertex, identical
-trees, byte-identical diagnosis reports, and equal recorder metrics.
+The two evaluation backends — compiled closures over the columnar
+store with lazy provenance recording, and the linear-scan reference
+evaluator with eager recording — are licensed by one claim: they change
+cost, never results.  These tests hold ``EngineConfig("compiled")``
+against the ``("reference")`` oracle across the paper's scenarios and
+assert identical table contents, identical provenance graphs
+vertex-for-vertex, identical trees, byte-identical diagnosis reports,
+and equal recorder metrics.
 """
 
 import pytest
 
 from repro.datalog import BACKENDS, EngineConfig
 from repro.observability import Telemetry
+from repro.provenance.lazy import LazyProvenanceGraph
 from repro.provenance.query import provenance_query
 from repro.replay.replayer import replay
 from repro.scenarios import ALL_SCENARIOS
+from repro.scenarios.stanford import StanfordForwardingError
 
 # The satellite coverage set: every SDN scenario, DNS, the declarative
 # MapReduce pair (the imperative MR variants use the instrumented
@@ -25,8 +27,6 @@ from repro.scenarios import ALL_SCENARIOS
 # tuple through repeated delete/insert cycles.
 SCENARIOS = ["SDN1", "SDN2", "SDN3", "SDN4", "DNS", "MR1-D", "MR2-D", "FLAP"]
 
-# compiled/annotated, indexed/lazy, reference/eager — each backend with
-# its natural provenance mode (EngineConfig.coerce on a bare name).
 MATRIX = sorted(BACKENDS)
 
 
@@ -64,7 +64,7 @@ class TestGraphEquivalence:
         scenario = _scenario(name)
         results = _replay_matrix(scenario, scenario.bad_execution)
         reference = results.pop("reference")
-        # Touching .vertices materializes the lazy/annotated graphs;
+        # Touching .vertices materializes the lazy graph;
         # the reconstruction must replay into the exact eager sequence.
         ref_vertices = reference.graph.vertices
         for backend, result in results.items():
@@ -95,66 +95,53 @@ class TestGraphEquivalence:
             for backend, result in results.items()
         }
         assert rendered["compiled"] == rendered["reference"]
-        assert rendered["indexed"] == rendered["reference"]
 
     def test_lazy_vertex_count_matches_before_materialization(self):
         scenario = _scenario("SDN1")
         results = _replay_matrix(scenario, scenario.bad_execution)
         # len() on the lazy graph comes from record-time counters; it
         # must agree with eager construction without materializing.
-        for backend in ("compiled", "indexed"):
-            assert results[backend].graph.pending
-            assert len(results[backend].graph) == len(
-                results["reference"].graph
-            )
-            assert results[backend].graph.pending
-
-
-class TestMinimalProofEquivalence:
-    @pytest.mark.parametrize("name", ["SDN1", "SDN3", "DNS"])
-    def test_annotated_minimal_proof_matches_tree_facts(self, name):
-        scenario = _scenario(name)
-        result = replay(
-            scenario.program, scenario.bad_execution.log, engine="compiled"
+        assert results["compiled"].graph.pending
+        assert len(results["compiled"].graph) == len(
+            results["reference"].graph
         )
-        proof = result.graph.minimal_proof(scenario.bad_event)
-        assert proof.tuple == scenario.bad_event
-        assert proof.height == result.graph.height_of(scenario.bad_event)
-        # Every leaf of the minimal proof is a base fact the reference
-        # evaluator also saw inserted.
-        reference = replay(
-            scenario.program, scenario.bad_execution.log, engine="reference"
-        )
-        stack = [proof]
-        while stack:
-            node = stack.pop()
-            if not node.children:
-                assert node.rule is None
-                assert reference.graph.inserts_of(node.tuple)
-            stack.extend(node.children)
+        assert results["compiled"].graph.pending
 
-    def test_minimal_proof_is_deterministic(self):
-        scenario = _scenario("SDN1")
-        renders = []
-        for _ in range(2):
-            result = replay(
-                scenario.program, scenario.bad_execution.log, engine="compiled"
-            )
-            renders.append(result.graph.minimal_proof(scenario.bad_event).render())
-        assert renders[0] == renders[1]
+
+# The black-box emulator inputs (SDN1-C, SDN2-C, a small Stanford
+# build) exercise the other half of each backend: copy-on-write fork()
+# and trie lookups vs clone() and linear flow-table scans, and the
+# reconstructor's lazy vs eager recorder.
+DIAGNOSIS_INPUTS = [
+    "SDN1", "SDN3", "DNS", "FLAP", "SDN1-C", "SDN2-C", "STANFORD-600"
+]
+
+
+def _diagnosis_input(name, engine):
+    if name == "STANFORD-600":
+        return StanfordForwardingError(
+            entries_per_router=600, engine=engine
+        ).setup()
+    return _scenario(name, engine=engine)
 
 
 class TestDiagnosisEquivalence:
-    @pytest.mark.parametrize("name", ["SDN1", "SDN3", "DNS", "FLAP"])
+    @pytest.mark.parametrize("name", DIAGNOSIS_INPUTS)
     def test_reports_byte_identical_across_backends(self, name):
         reports = {
-            backend: _scenario(name, engine=backend)
+            backend: _diagnosis_input(name, backend)
             .diagnose()
             .canonical_json()
             for backend in MATRIX
         }
         assert reports["compiled"] == reports["reference"]
-        assert reports["indexed"] == reports["reference"]
+
+    @pytest.mark.parametrize("name", ["SDN1-C", "SDN2-C"])
+    def test_black_box_reference_records_eagerly(self, name):
+        for backend, lazy in (("compiled", True), ("reference", False)):
+            scenario = _scenario(name, engine=backend)
+            recorder = scenario.bad_execution.replay().recorder
+            assert isinstance(recorder.graph, LazyProvenanceGraph) is lazy
 
 
 class TestRecorderMetricsEquivalence:
@@ -174,7 +161,6 @@ class TestRecorderMetricsEquivalence:
                 or key.startswith("engine.rule_firings.")
             }
         assert snapshots["compiled"] == snapshots["reference"]
-        assert snapshots["indexed"] == snapshots["reference"]
         assert snapshots["reference"].get("recorder.edges", 0) > 0
 
     def test_index_hits_and_reconstructions_are_metered(self):

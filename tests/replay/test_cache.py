@@ -194,7 +194,7 @@ class TestBackendSnapshots:
         delivered = parse_tuple("delivered('h1', 7.7.7.7, 4.3.3.1)")
         assert warm.engine.exists(delivered)
         # The restored engine must still evaluate: push another packet
-        # through the compiled/indexed/reference join path.
+        # through the compiled/reference join path.
         warm.engine.insert_and_run(
             parse_tuple("packet('s1', 8.8.8.8, 4.3.3.2)")
         )
@@ -208,7 +208,7 @@ class TestBackendSnapshots:
         replay(forwarding_program, execution.log, cache=cache,
                engine="compiled")
         replay(forwarding_program, execution.log, cache=cache,
-               engine="indexed")
+               engine="reference")
         # The second replay used a different backend: pickled engine
         # state differs even though results do not, so it must be a
         # miss, not a hit on the compiled snapshot.
