@@ -288,7 +288,7 @@ class Session:
     def _attach_cache(self) -> None:
         """Hand the caller-supplied ReplayCache to both executions.
 
-        ``_replay_cache_scope`` (repro.core.diffprov) reuses a cache it
+        ``_attach_run`` (repro.core.diffprov) reuses a cache it
         finds already attached instead of building a fresh one, which
         is exactly how warmth survives across diagnose() calls and
         across Sessions sharing one cache.

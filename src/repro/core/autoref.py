@@ -16,14 +16,14 @@ references" the paper filters the other way around in Section 6.3).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Sequence
 
 from ..datalog.tuples import Tuple
-from ..faults import FaultInjector
-from ..replay.cache import ReplayCache
-from ..replay.parallel import CandidateEvaluator
+from ..errors import DeadlineExceeded
+from ..replay.parallel import CandidateSweep
 from ..resilience import Deadline
-from .diffprov import DiffProv, DiffProvOptions, _replay_cache_scope
+from .diffprov import DiffProv, DiffProvOptions, _attach_run
 from .report import DiagnosisReport
 
 __all__ = ["ReferenceCandidate", "AutoReferenceResult", "auto_diagnose",
@@ -135,24 +135,18 @@ def propose_stream_references(
     return candidates[:limit]
 
 
-def _probe_reference(shared, index):
-    """Worker-side diagnosis of one candidate reference.
-
-    Runs on a pickled clone of the executions (telemetry stripped);
-    the returned report is what a serial diagnosis of the same
-    candidate would produce, minus the telemetry section.
-    """
-    program, good_execution, bad_execution, bad_event, options, events = shared
-    for execution in {id(good_execution): good_execution,
-                      id(bad_execution): bad_execution}.values():
-        if getattr(execution, "replay_cache", False) is None:
-            # Worker-local snapshot cache, shared by every candidate
-            # diagnosis this worker performs.
-            execution.replay_cache = ReplayCache()
-    debugger = DiffProv(program, options)
-    return debugger.diagnose(
-        good_execution, bad_execution, events[index], bad_event
+def _diagnose_reference(program, good, bad, bad_event, options, candidate):
+    """Diagnose ``bad_event`` against one candidate reference."""
+    return DiffProv(program, options).diagnose(
+        good, bad, candidate.event, bad_event
     )
+
+
+def _accepted(report) -> bool:
+    """Whether a candidate's diagnosis ends the sweep: a success with a
+    non-empty Δ.  ``False`` stands for a candidate a resumed journal
+    already rejected."""
+    return report is not False and report.success and report.num_changes > 0
 
 
 def auto_diagnose(
@@ -162,7 +156,6 @@ def auto_diagnose(
     bad_event: Tuple,
     options: Optional[DiffProvOptions] = None,
     limit: int = 10,
-    workers: Optional[int] = None,
 ) -> AutoReferenceResult:
     """Diagnose ``bad_event`` without an operator-supplied reference.
 
@@ -171,175 +164,65 @@ def auto_diagnose(
     one (sudden failures).  Returns the first successful diagnosis with
     a non-empty Δ, together with every candidate that was tried.
 
-    ``workers`` (default: ``options.workers``) > 1 evaluates candidate
-    diagnoses speculatively in waves of that size on a process pool.
-    Results are consumed in ranking order and the sweep stops at the
-    first success, so the chosen reference, its report, and the tried
-    list are identical to the serial sweep — candidates beyond the
-    winner are discarded unread (docs/performance.md).
+    With ``options.workers`` > 1 candidate diagnoses run speculatively
+    in waves of that size on a process pool.  Results are consumed in
+    ranking order and the sweep stops at the first success, so the
+    chosen reference, its report, and the tried list are identical to
+    the serial sweep — candidates beyond the winner are discarded
+    unread (docs/performance.md).
     """
-    debugger = DiffProv(program, options)
-    opts = debugger.options
-    if workers is None:
-        workers = getattr(opts, "workers", 1) or 1
-    journal = getattr(opts, "journal", None)
+    opts = options or DiffProvOptions()
     # Normalize the budget once so every candidate diagnosis shares the
     # sweep's end-to-end deadline (a raw seconds value would otherwise
     # restart per candidate); the original options value is restored.
-    saved_deadline = getattr(opts, "deadline", None)
+    saved_deadline = opts.deadline
     deadline = Deadline.of(saved_deadline)
     opts.deadline = deadline
+    sweep = CandidateSweep(
+        opts.workers,
+        journal=opts.journal,
+        deadline=deadline,
+        telemetry=opts.telemetry,
+        policy=opts.resilience,
+        fault_plan=opts.faults,
+        replay_cache=opts.replay_cache,
+    )
     try:
-        graph = good_execution.graph
-        candidates = propose_references(graph, bad_event, limit)
+        candidates = propose_references(good_execution.graph, bad_event, limit)
         tried: List[ReferenceCandidate] = []
         stopped_early = False
-        if (
-            workers > 1
-            and len(candidates) > 1
-            and not (journal is not None and journal.has_verdicts)
-        ):
-            result = _auto_diagnose_parallel(
-                program, good_execution, bad_execution, bad_event,
-                opts, candidates, workers, journal, deadline,
-            )
-            if result is not None:
-                return result
-            # Unpicklable context: fall through to the serial sweep.
-        # One snapshot cache stays warm across the whole sweep: every
-        # candidate diagnosis replays the same logs, so later candidates
-        # restore what earlier ones derived.
-        with _replay_cache_scope(opts, good_execution, bad_execution):
-            for candidate in candidates:
-                if deadline is not None and deadline.expired:
-                    stopped_early = True
-                    break
-                key = str(candidate.event)
-                if journal is not None:
-                    verdict = journal.lookup("autoref", key)
-                    if verdict is False:
-                        # A previous run already diagnosed and rejected
-                        # this candidate; skip its whole diagnosis.  A
-                        # recorded winner is re-diagnosed fresh — its
-                        # report is needed, and re-running it yields
-                        # the byte-identical one.
-                        tried.append(candidate)
-                        continue
-                tried.append(candidate)
-                report = debugger.diagnose(
-                    good_execution, bad_execution, candidate.event, bad_event
-                )
-                accepted = report.success and report.num_changes > 0
-                if journal is not None:
-                    journal.record("autoref", key, accepted)
-                if accepted:
-                    return AutoReferenceResult(
-                        report, candidate.event, tried,
-                        resilience=_sweep_resilience(
-                            journal, deadline, stopped_early
-                        ),
-                    )
+        try:
+            # One snapshot cache stays warm across the whole sweep:
+            # every candidate diagnosis replays the same logs, so later
+            # candidates restore what earlier ones derived.
+            with _attach_run(good_execution, bad_execution, opts):
+                for candidate, report in sweep.run(
+                    candidates,
+                    partial(_diagnose_reference, program, good_execution,
+                            bad_execution, bad_event, opts),
+                    phase="autoref",
+                    executions=(good_execution, bad_execution),
+                    wave=sweep.workers,
+                    kind="autoref",
+                    key=lambda candidate: str(candidate.event),
+                    encode=_accepted,
+                    # A journal-rejected candidate skips its whole
+                    # diagnosis.  A recorded winner is re-diagnosed
+                    # fresh: its report is needed, and re-running it
+                    # yields the byte-identical one.
+                    decode=lambda accepted: None if accepted else False,
+                ):
+                    tried.append(candidate)
+                    if _accepted(report):
+                        return AutoReferenceResult(
+                            report, candidate.event, tried,
+                            resilience=sweep.resilience_section(),
+                        )
+        except DeadlineExceeded:
+            stopped_early = True
         return AutoReferenceResult(
             None, None, tried,
-            resilience=_sweep_resilience(journal, deadline, stopped_early),
+            resilience=sweep.resilience_section(stopped_early=stopped_early),
         )
     finally:
         opts.deadline = saved_deadline
-
-
-def _auto_diagnose_parallel(
-    program, good_execution, bad_execution, bad_event, options,
-    candidates, workers, journal=None, deadline=None,
-) -> Optional[AutoReferenceResult]:
-    """Speculative wave evaluation of the candidate sweep.
-
-    Each wave diagnoses the next ``workers`` candidates concurrently;
-    the results are read in ranking order and the first success wins,
-    exactly as in the serial sweep.  Returns None when the executions
-    cannot be shipped to workers.
-    """
-    telemetry = getattr(options, "telemetry", None) if options else None
-    plan = getattr(options, "faults", None) if options else None
-    evaluator = CandidateEvaluator(
-        workers,
-        telemetry,
-        policy=getattr(options, "resilience", None) if options else None,
-        faults=(
-            FaultInjector(plan, "evaluator")
-            if plan is not None and plan.worker_crash > 0.0
-            else None
-        ),
-    )
-    events = [candidate.event for candidate in candidates]
-    shared = (program, good_execution, bad_execution, bad_event, options,
-              events)
-    tried: List[ReferenceCandidate] = []
-    stopped_early = False
-
-    def _result(report, reference):
-        return AutoReferenceResult(
-            report, reference, tried,
-            resilience=_sweep_resilience(
-                journal, deadline, stopped_early, evaluator
-            ),
-        )
-
-    for wave_start in range(0, len(candidates), workers):
-        if deadline is not None and deadline.expired:
-            stopped_early = True
-            break
-        wave = candidates[wave_start : wave_start + workers]
-        results = evaluator.evaluate(
-            _ProbeWindow(_probe_reference, wave_start), shared, len(wave)
-        )
-        if results is None:
-            return None if not tried else _result(None, None)
-        for candidate, (status, value) in zip(wave, results):
-            tried.append(candidate)
-            if status == "err":
-                raise value
-            accepted = value.success and value.num_changes > 0
-            if journal is not None:
-                journal.record("autoref", str(candidate.event), accepted)
-            if accepted:
-                return _result(value, candidate.event)
-    return _result(None, None)
-
-
-def _sweep_resilience(journal, deadline, stopped_early, evaluator=None):
-    """Sweep-level resilience section; None when nothing was active."""
-    section: dict = {}
-    if journal is not None:
-        section["journal"] = {
-            "path": journal.path,
-            "resumed": journal.resumed,
-            "skipped_candidates": journal.skipped,
-            "entries_written": journal.writes,
-        }
-    if evaluator is not None:
-        counters = {k: v for k, v in evaluator.counters().items() if v}
-        if counters:
-            section["evaluator"] = counters
-    if deadline is not None:
-        section["deadline"] = {
-            "seconds": deadline.seconds,
-            "expired": deadline.expired,
-            "slack_s": round(deadline.timeout(), 3),
-        }
-    if stopped_early:
-        section["stopped_early"] = True
-    return section or None
-
-
-class _ProbeWindow:
-    """Offsets a probe's job index into a larger candidate list, so
-    every wave can share one ``shared`` tuple holding all candidates."""
-
-    __slots__ = ("func", "offset")
-
-    def __init__(self, func, offset: int):
-        self.func = func
-        self.offset = offset
-
-    def __call__(self, shared, index: int):
-        return self.func(shared, index + self.offset)

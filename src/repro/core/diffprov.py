@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib as _hashlib
 import time as _time
 from contextlib import contextmanager, nullcontext
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..datalog.engine import match_atom
@@ -47,7 +48,7 @@ from ..provenance.query import provenance_query
 from ..provenance.tree import TupleNode
 from ..replay.cache import ReplayCache
 from ..replay.execution import Execution
-from ..replay.parallel import CandidateEvaluator
+from ..replay.parallel import CandidateSweep
 from ..replay.replayer import Change, ReplayResult
 from ..resilience import Deadline
 from .equivalence import EquivalenceRelation
@@ -124,10 +125,11 @@ class DiffProvOptions:
         # every phase of the diagnosis (see repro.observability).  None
         # (or a NullTelemetry) keeps every hot path uninstrumented.
         self.telemetry = telemetry
-        # Candidate replays (the minimality post-pass, autoref's
-        # reference sweep) fan out over a process pool when workers > 1.
-        # Results are consumed in serial order, so reports stay
-        # byte-identical to workers=1 (docs/performance.md).
+        # Candidate sweeps (the minimality post-pass, rollback
+        # verification, autoref's reference sweep) fan out over a
+        # process pool when workers > 1.  Results are consumed in
+        # serial order, so reports stay byte-identical to workers=1
+        # (docs/performance.md).
         self.workers = workers
         # Snapshot caching for diagnosis replays (repro.replay.cache);
         # a pure speed-up, disabled with replay_cache=False.
@@ -192,54 +194,23 @@ class DiffProv:
         timings: Dict[str, float] = {}
         telemetry = _active_telemetry(self.options.telemetry)
         state = _DiagnosisState(self, good, bad, timings, telemetry)
-        with _replay_cache_scope(self.options, good, bad) as cache:
+        span = (
+            telemetry.span("diffprov.diagnose", good=good.name, bad=bad.name)
+            if telemetry is not None
+            else nullcontext()
+        )
+        with _attach_run(good, bad, self.options, telemetry,
+                         state.deadline) as cache:
             state.replay_cache = cache
-            with _deadline_scope(state.deadline, good, bad):
-                return self._diagnose(state, good, bad, good_event,
-                                      bad_event, good_time, bad_time,
-                                      telemetry)
-
-    def _diagnose(
-        self, state, good, bad, good_event, bad_event, good_time, bad_time,
-        telemetry,
-    ) -> DiagnosisReport:
-        if telemetry is None:
             try:
-                report = state.run(good_event, bad_event, good_time, bad_time)
-                state.maybe_repair(report)
-            except (
-                DeadlineExceeded,
-                DiagnosisFailure,
-                NonInvertibleError,
-                StepLimitExceeded,
-            ) as failure:
-                report = state.failure_report(failure)
-            report.resilience = state.resilience_section()
-            state.journal_result(report)
-            return report
-        # Attach the diagnosis telemetry to both executions for the
-        # duration of the run, so every query-time replay they perform
-        # lands inside the diagnosis span tree.  Execution stand-ins
-        # (the MapReduce runtime, the network emulator) that don't
-        # carry telemetry are left alone — their replays simply don't
-        # contribute engine spans.
-        saved_good = getattr(good, "telemetry", None)
-        saved_bad = getattr(bad, "telemetry", None)
-        if hasattr(good, "telemetry"):
-            good.telemetry = telemetry
-        if hasattr(bad, "telemetry"):
-            bad.telemetry = telemetry
-        try:
-            try:
-                with telemetry.span(
-                    "diffprov.diagnose", good=good.name, bad=bad.name
-                ) as root:
+                with span as root:
                     report = state.run(
                         good_event, bad_event, good_time, bad_time
                     )
                     state.maybe_repair(report)
-                    root.set("success", report.success)
-                    root.set("rounds", len(report.rounds))
+                    if root is not None:
+                        root.set("success", report.success)
+                        root.set("rounds", len(report.rounds))
             except (
                 DeadlineExceeded,
                 DiagnosisFailure,
@@ -247,14 +218,12 @@ class DiffProv:
                 StepLimitExceeded,
             ) as failure:
                 report = state.failure_report(failure)
-        finally:
-            if hasattr(good, "telemetry"):
-                good.telemetry = saved_good
-            if hasattr(bad, "telemetry"):
-                bad.telemetry = saved_bad
         state.fold_metrics()
-        report.telemetry = telemetry.report_section()
-        report.resilience = state.resilience_section()
+        if telemetry is not None:
+            report.telemetry = telemetry.report_section()
+        report.resilience = state.sweep.resilience_section(
+            cache, state.deadline_expired_in
+        )
         state.journal_result(report)
         return report
 
@@ -272,95 +241,50 @@ class DiffProv:
 
 
 @contextmanager
-def _replay_cache_scope(options, good, bad):
-    """Attach one shared ReplayCache to both executions for one run.
+def _attach_run(good, bad, options, telemetry=None, deadline=None):
+    """Attach one run's telemetry, deadline and replay cache to both
+    executions, restoring every previous value on exit.
 
-    Mirrors the telemetry attach in :meth:`DiffProv.diagnose`: the
-    previous value is always restored, execution stand-ins without a
-    ``replay_cache`` attribute are left alone, and a cache already
-    attached by the caller (e.g. a :class:`repro.api.Session`, which
-    keeps one warm across diagnoses) is reused rather than replaced.
-    With ``options.replay_cache`` false, any attached cache is detached
-    for the duration — the explicit off switch wins.
+    Every query-time replay the executions perform then lands inside
+    the run's span tree, checks the shared budget from inside the
+    engine's step loop, and forks from the shared snapshot cache.
+    Execution stand-ins without one of these attributes are left alone
+    on that attribute, and a None ``telemetry`` or ``deadline`` leaves
+    the value already attached in place.  The cache follows
+    ``options.replay_cache``: when enabled, a cache already attached by
+    the caller (a :class:`repro.api.Session` keeps one warm across
+    diagnoses) is reused and otherwise one is built for
+    ``options.faults``; when disabled, any attached cache is detached
+    for the duration — the explicit off switch wins.  Yields the cache
+    (None when disabled or when no execution carries one).
     """
-    targets = [
-        execution
-        for execution in ([good] if good is bad else [good, bad])
-        if hasattr(execution, "replay_cache")
+    targets = [good] if good is bad else [good, bad]
+    saved = [
+        (execution, name, getattr(execution, name))
+        for execution in targets
+        for name in ("telemetry", "deadline", "replay_cache")
+        if hasattr(execution, name)
     ]
-    enabled = getattr(options, "replay_cache", True)
-    saved = [(execution, execution.replay_cache) for execution in targets]
+    cached = [e for e in targets if hasattr(e, "replay_cache")]
+    attached = [e.replay_cache for e in cached if e.replay_cache is not None]
     cache = None
-    if enabled:
-        for execution in targets:
-            if execution.replay_cache is not None:
-                cache = execution.replay_cache
-                break
-        if cache is None and targets:
-            plan = getattr(options, "faults", None)
-            cache = ReplayCache(
-                faults=(
-                    FaultInjector(plan, "snapshot")
-                    if plan is not None and plan.snapshot_corrupt > 0.0
-                    else None
-                )
-            )
-        for execution in targets:
-            if execution.replay_cache is None:
-                execution.replay_cache = cache
-    else:
-        for execution in targets:
-            execution.replay_cache = None
+    if options.replay_cache and cached:
+        cache = attached[0] if attached else ReplayCache.for_plan(
+            options.faults
+        )
+    for execution in cached:
+        if not options.replay_cache or execution.replay_cache is None:
+            execution.replay_cache = cache
+    for name, value in (("telemetry", telemetry), ("deadline", deadline)):
+        if value is not None:
+            for execution in targets:
+                if hasattr(execution, name):
+                    setattr(execution, name, value)
     try:
         yield cache
     finally:
-        for execution, previous in saved:
-            execution.replay_cache = previous
-
-
-@contextmanager
-def _deadline_scope(deadline, good, bad):
-    """Attach the diagnosis deadline to both executions for one run.
-
-    Every query-time replay they perform then checks the shared budget
-    from inside the engine's step loop.  Stand-ins without a
-    ``deadline`` attribute are left alone; the previous value is always
-    restored.
-    """
-    targets = [
-        execution
-        for execution in ([good] if good is bad else [good, bad])
-        if hasattr(execution, "deadline")
-    ]
-    saved = [(execution, execution.deadline) for execution in targets]
-    if deadline is not None:
-        for execution in targets:
-            execution.deadline = deadline
-    try:
-        yield
-    finally:
-        for execution, previous in saved:
-            execution.deadline = previous
-
-
-def _probe_minimize_trial(shared, index):
-    """Worker-side evaluation of one minimality trial.
-
-    Runs in a forked process (or on a pickled clone inline — see
-    :class:`repro.replay.parallel.CandidateEvaluator`), so nothing it
-    touches leaks back to the diagnosing process.  The parallel path is
-    only taken on non-degraded runs without a fault plan, where
-    ``_find_divergence`` is a pure function of the replayed state.
-    """
-    state, path, good_root, anchor_index, trials = shared
-    if state.bad.replay_cache is None:
-        # Worker-local snapshot cache: trials landing on the same
-        # worker fork from shared prefixes instead of re-deriving.
-        state.bad.replay_cache = ReplayCache()
-    replayed = state.bad.replay(trials[index], anchor_index)
-    anchor_time = state._anchor_time(replayed)
-    divergent = state._find_divergence(path, good_root, replayed, anchor_time)
-    return divergent is None
+        for execution, name, value in saved:
+            setattr(execution, name, value)
 
 
 class _DiagnosisState:
@@ -401,10 +325,19 @@ class _DiagnosisState:
         self.lost_log_events = 0
         # The ReplayCache attached for this run (None when disabled).
         self.replay_cache = None
-        # Resilience machinery (docs/resilience.md).
+        # Resilience machinery (docs/resilience.md): the candidate
+        # sweeps of minimize and rollback planning share one harness.
         self.journal = self.options.journal
         self.deadline = Deadline.of(self.options.deadline)
-        self.evaluator_counters: Dict[str, int] = {}
+        self.sweep = CandidateSweep(
+            self.options.workers,
+            journal=self.journal,
+            deadline=self.deadline,
+            telemetry=telemetry,
+            policy=self.options.resilience,
+            fault_plan=self.fault_plan,
+            replay_cache=self.options.replay_cache,
+        )
         # Set when the budget ran out inside the (optional) minimize
         # pass — the diagnosis still succeeds with a non-minimal Δ.
         self.deadline_expired_in: Optional[str] = None
@@ -418,14 +351,15 @@ class _DiagnosisState:
         self.anchor_index: Optional[int] = None
 
     def __getstate__(self):
-        # Shipped to candidate-evaluator workers: telemetry, the
-        # parent's snapshot cache, the journal (open file handle), and
-        # the deadline (live clock) stay behind.
+        # Shipped to candidate-sweep workers: telemetry, the parent's
+        # snapshot cache, the journal (open file handle), the deadline
+        # (live clock), and the sweep holding all of them stay behind.
         state = self.__dict__.copy()
         state["telemetry"] = None
         state["replay_cache"] = None
         state["journal"] = None
         state["deadline"] = None
+        state["sweep"] = None
         return state
 
     @contextmanager
@@ -452,7 +386,7 @@ class _DiagnosisState:
         self.good_event = good_event
         self.bad_event = bad_event
         self._journal_phase("query")
-        self._check_deadline("query")
+        self.sweep.check("query")
         with self._timed("query"):
             good_result = self.good.materialize()
             if self.bad is self.good:
@@ -533,7 +467,7 @@ class _DiagnosisState:
             iterations += 1
             if iterations > iteration_cap:
                 break
-            self._check_deadline("rounds")
+            self.sweep.check("rounds")
             anchor_time = self._anchor_time(replayed)
             with self._timed("divergence"):
                 divergent = self._find_divergence(
@@ -733,36 +667,42 @@ class _DiagnosisState:
         runtime, making its removal unnecessary).  A candidate is kept
         only if the trees stop aligning without it.
 
-        With ``options.workers > 1`` the candidate trials are evaluated
-        speculatively on a process pool, wave by wave; results are
-        consumed in the serial order and re-derived after every commit,
-        so the surviving change set (and the replay count) is identical
-        to the serial pass.  Degraded runs stay serial — there,
-        divergence checks mutate diagnosis state and order matters.
+        The trials of every remaining change form one ordered sweep
+        that stops at the first aligned trial; after that commit the
+        sweep restarts from the next change against the new change set.
+        With ``options.workers > 1`` the sweep evaluates the trials
+        speculatively on a process pool, so the surviving change set
+        (and the replay count) is identical to the serial pass.
+        Degraded runs stay in this process and out of the journal —
+        there, divergence checks mutate diagnosis state.
         """
         pending = list(self.changes)
+        safe = self._verdicts_safe()
         position = 0
-        if (
-            self.options.workers > 1
-            and len(pending) > 1
-            and (self.fault_plan is None or self.fault_plan.host_only())
-            and not self._degraded()
-            and not (self.journal is not None and self.journal.has_verdicts)
-        ):
-            # Host-only fault plans (worker-crash, snapshot-corrupt)
-            # keep replays deterministic, so the parallel pass stays
-            # correct — and is exactly what exercises the evaluator's
-            # self-healing.  A resumed journal forces the serial path:
-            # recorded verdicts are consumed in their recorded order.
-            position = self._minimize_parallel(
-                path, good_root, anchor_index, pending
+        while position < len(pending):
+            owners, trials = [], []
+            for index in range(position, len(pending)):
+                for trial in self._alternatives(pending[index]):
+                    owners.append(index)
+                    trials.append(trial)
+            verdicts = self.sweep.run(
+                trials,
+                partial(self._aligned, path, good_root, anchor_index),
+                phase="minimize",
+                executions=(self.bad,),
+                parallel=safe,
+                kind="minimize" if safe else None,
+                key=lambda trial: self._minimize_key(trial, anchor_index),
+                timer=partial(self._timed, "minimize"),
             )
-        for change in pending[position:]:
-            self._check_deadline("minimize")
-            for trial in self._alternatives(change):
-                if self._aligned_with(trial, path, good_root, anchor_index):
+            for number, (trial, aligned) in enumerate(verdicts):
+                self.replays += 1
+                if aligned:
                     self.changes = trial
+                    position = owners[number] + 1
                     break
+            else:
+                return
 
     def _alternatives(self, change) -> List[List[Change]]:
         alternatives = [[c for c in self.changes if c is not change]]
@@ -773,105 +713,15 @@ class _DiagnosisState:
             )
         return alternatives
 
-    def _minimize_parallel(
-        self, path, good_root, anchor_index, pending
-    ) -> int:
-        """Wave-based speculative evaluation of minimality trials.
-
-        Every remaining change's trials are evaluated concurrently
-        against the current change set; the results are then consumed
-        in serial order.  The first commit invalidates the rest of the
-        wave (their trials were built against a stale change set), so
-        the next wave re-derives them — byte-identical outcomes at the
-        price of some discarded speculative work.  Returns how many of
-        ``pending`` were fully processed; the serial pass finishes the
-        rest (non-zero only when the context cannot be pickled).
-        """
-        faults = (
-            FaultInjector(self.fault_plan, "evaluator")
-            if self.fault_plan is not None
-            else None
-        )
-        evaluator = CandidateEvaluator(
-            self.options.workers,
-            self.telemetry,
-            policy=self.options.resilience,
-            faults=faults,
-        )
-        position = 0
-        try:
-            while position < len(pending):
-                self._check_deadline("minimize")
-                wave = [
-                    (change, self._alternatives(change))
-                    for change in pending[position:]
-                ]
-                trials = [
-                    trial for _, alternatives in wave for trial in alternatives
-                ]
-                shared = (self, path, good_root, anchor_index, trials)
-                with self._timed("minimize"):
-                    results = evaluator.evaluate(
-                        _probe_minimize_trial, shared, len(trials)
-                    )
-                if results is None:
-                    # Context not picklable (e.g. an execution stand-in);
-                    # the serial pass picks up from here.
-                    return position
-                cursor = 0
-                committed = False
-                for change, alternatives in wave:
-                    outcomes = results[cursor : cursor + len(alternatives)]
-                    cursor += len(alternatives)
-                    position += 1
-                    chosen = None
-                    for trial, (status, value) in zip(alternatives, outcomes):
-                        # Mirror the serial accounting: one replay per
-                        # trial actually consumed, stopping at the first
-                        # success.
-                        self.replays += 1
-                        if status == "err":
-                            raise value
-                        if self.journal is not None:
-                            self.journal.record(
-                                "minimize",
-                                self._minimize_key(trial, anchor_index),
-                                bool(value),
-                            )
-                        if value:
-                            chosen = trial
-                            break
-                    if chosen is not None:
-                        self.changes = chosen
-                        committed = True
-                        break
-                if not committed:
-                    break
-            return len(pending)
-        finally:
-            self._absorb_evaluator(evaluator)
-
-    def _aligned_with(self, trial, path, good_root, anchor_index) -> bool:
-        key = None
-        if self.journal is not None and self._verdicts_safe():
-            key = self._minimize_key(trial, anchor_index)
-            cached = self.journal.lookup("minimize", key)
-            if cached is not None:
-                # Resume fast path: the verdict replaces exactly one
-                # replay, so mirror the serial accounting — replay
-                # counts are part of the canonical report.
-                self.replays += 1
-                return bool(cached)
+    def _aligned(self, path, good_root, anchor_index, trial) -> bool:
+        """One minimality trial: do the trees still align under ``trial``?"""
         with self._timed("replay"):
             replayed = self.bad.replay(trial, anchor_index)
-            self.replays += 1
         anchor_time = self._anchor_time(replayed)
         with self._timed("minimize"):
             divergent = self._find_divergence(
                 path, good_root, replayed, anchor_time
             )
-        if key is not None:
-            self.journal.record("minimize", key, divergent is None)
         return divergent is None
 
     def _minimize_key(self, trial, anchor_index) -> str:
@@ -881,14 +731,16 @@ class _DiagnosisState:
         )
 
     def _verdicts_safe(self) -> bool:
-        """Whether minimize verdicts may be journalled/replayed.
+        """Whether minimize verdicts may be journalled, replayed, and
+        computed on worker clones.
 
         Under observed degradation the divergence check *mutates*
         diagnosis state (UNKNOWN notes, partial-verify flags), so a
-        skipped replay would change the report; degraded resumes
-        recompute every trial instead (still byte-identical — the
-        computation is deterministic).  Host-only fault plans are safe:
-        they never touch replay semantics.
+        skipped replay or a clone's verdict would change the report;
+        degraded runs recompute every trial in this process instead
+        (still byte-identical — the computation is deterministic).
+        Host-only fault plans are safe: they never touch replay
+        semantics.
         """
         return (
             self.fault_plan is None or self.fault_plan.host_only()
@@ -901,49 +753,6 @@ class _DiagnosisState:
     def _journal_phase(self, name: str) -> None:
         if self.journal is not None:
             self.journal.phase(name)
-
-    def _check_deadline(self, phase: str) -> None:
-        if self.deadline is not None:
-            self.deadline.check(phase)
-
-    def _absorb_evaluator(self, evaluator) -> None:
-        for name, value in evaluator.counters().items():
-            if value:
-                self.evaluator_counters[name] = (
-                    self.evaluator_counters.get(name, 0) + value
-                )
-
-    def resilience_section(self) -> Optional[Dict[str, object]]:
-        """The report's ``resilience`` section (None when inactive).
-
-        Describes *how* the run survived, never what it concluded —
-        excluded from the canonical report so resumed/degraded runs
-        stay byte-comparable on their conclusions.
-        """
-        section: Dict[str, object] = {}
-        if self.journal is not None:
-            section["journal"] = {
-                "path": self.journal.path,
-                "resumed": self.journal.resumed,
-                "skipped_candidates": self.journal.skipped,
-                "entries_written": self.journal.writes,
-            }
-        if self.evaluator_counters:
-            section["evaluator"] = dict(self.evaluator_counters)
-        if self.replay_cache is not None and self.replay_cache.corrupt:
-            section["cache"] = {"corrupt": self.replay_cache.corrupt}
-        if self.deadline is not None:
-            expired = self.deadline.expired or (
-                self.deadline_expired_in is not None
-            )
-            section["deadline"] = {
-                "seconds": self.deadline.seconds,
-                "expired": expired,
-                "slack_s": round(self.deadline.timeout(), 3),
-            }
-            if self.deadline_expired_in is not None:
-                section["deadline"]["expired_in"] = self.deadline_expired_in
-        return section or None
 
     def journal_result(self, report) -> None:
         """Record the finished diagnosis in the journal (commit marker)."""
@@ -992,12 +801,7 @@ class _DiagnosisState:
             bad_event=self.bad_event,
             changes=report.changes,
             anchor_index=self.anchor_index,
-            workers=self.options.workers,
-            fault_plan=self.fault_plan,
-            journal=self.journal,
-            deadline=self.deadline,
-            telemetry=self.telemetry,
-            resilience=self.options.resilience,
+            sweep=self.sweep,
         )
         try:
             with self._timed("repair"):
@@ -1011,12 +815,6 @@ class _DiagnosisState:
                 "plans": [],
                 "rejected": [],
             }
-        finally:
-            for name, value in planner.evaluator_counters.items():
-                if value:
-                    self.evaluator_counters[name] = (
-                        self.evaluator_counters.get(name, 0) + value
-                    )
         if self.telemetry is not None:
             section = report.repair
             self.telemetry.fold_counters(
@@ -1539,7 +1337,7 @@ class _DiagnosisState:
         if self.journal is not None:
             telemetry.set_gauge("journal.writes", self.journal.writes)
             telemetry.set_gauge("journal.skipped", self.journal.skipped)
-        for name, value in sorted(self.evaluator_counters.items()):
+        for name, value in sorted(self.sweep.counters().items()):
             telemetry.set_gauge(f"parallel.{name}_total", value)
         telemetry.set_gauge("log.good_bytes", self.good.log.total_bytes)
         telemetry.set_gauge("log.good_entries", len(self.good.log))

@@ -6,10 +6,11 @@ diagnosis.  The planner enumerates a small deterministic candidate set
 (revert-to-reference, per-change singletons, insert-only and
 delete-only narrowings of each modification), verifies each candidate
 by replaying the bad execution with the plan applied — through the
-shared :class:`~repro.replay.cache.ReplayCache` prefix forks, and over
-:class:`~repro.replay.parallel.CandidateEvaluator` waves when
-``workers > 1`` — and keeps only plans where the bad symptom is gone
-**and** every good probe still holds (:mod:`repro.repair.probes`).
+shared :class:`~repro.replay.cache.ReplayCache` prefix forks, and in
+one :class:`~repro.replay.parallel.CandidateSweep`, which fans out over
+a process pool when ``workers > 1`` — and keeps only plans where the
+bad symptom is gone **and** every good probe still holds
+(:mod:`repro.repair.probes`).
 
 Survivors are ranked ascending by ``(edit size, blast radius, touched
 tuples, plan key)``; the winner is the smallest fix that lands the
@@ -30,9 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..datalog.tuples import TableKind
 from ..errors import ReproError, StepLimitExceeded
-from ..faults import FaultInjector
-from ..replay.cache import ReplayCache
-from ..replay.parallel import CandidateEvaluator
+from ..replay.parallel import CandidateSweep
 from ..replay.replayer import Change
 from .probes import alive_state, probe_suite
 
@@ -103,23 +102,6 @@ class RollbackPlan:
         return f"RollbackPlan({self.origin}, {self.key()})"
 
 
-def _probe_plan(shared, index):
-    """Worker-side verification of one rollback plan.
-
-    Runs in a forked process (or on a pickled clone inline — see
-    :class:`repro.replay.parallel.CandidateEvaluator`); nothing it
-    touches leaks back to the planning process.  Plan verdicts are
-    independent of each other, so unlike the minimality pass no wave
-    invalidation is needed — every plan in the wave is consumed.
-    """
-    planner, plans = shared
-    if planner.bad.replay_cache is None:
-        # Worker-local snapshot cache: plans landing on the same worker
-        # fork from shared prefixes instead of re-deriving.
-        planner.bad.replay_cache = ReplayCache()
-    return planner.verify(plans[index])
-
-
 class RollbackPlanner:
     """Turn one successful diagnosis into ranked, replay-verified plans."""
 
@@ -132,12 +114,7 @@ class RollbackPlanner:
         bad_event,
         changes: Sequence[Change],
         anchor_index: Optional[int],
-        workers: int = 1,
-        fault_plan=None,
-        journal=None,
-        deadline=None,
-        telemetry=None,
-        resilience=None,
+        sweep: Optional[CandidateSweep] = None,
     ):
         self.program = program
         self.bad = bad
@@ -145,31 +122,26 @@ class RollbackPlanner:
         self.bad_event = bad_event
         self.changes = list(changes)
         self.anchor_index = anchor_index
-        self.workers = workers
-        self.fault_plan = fault_plan
-        self.journal = journal
-        self.deadline = deadline
-        self.telemetry = telemetry
-        self.resilience = resilience
+        # The diagnosis's candidate-sweep harness (worker count,
+        # journal, deadline, fault plan); a standalone planner runs
+        # serially with none of them.
+        self.sweep = sweep if sweep is not None else CandidateSweep()
         # Logical replay accounting: +1 per verdict consumed whether it
         # came from a live replay, a snapshot restore, or a journal hit
         # — the count is part of the canonical section, so it must be
         # identical across workers × cache × resume.
         self.replays = 0
-        self.evaluator_counters: Dict[str, int] = {}
         self.probes = frozenset()
         self.reference_alive = frozenset()
         self.mutable_base: List = []
         self._prepared = False
 
     def __getstate__(self):
-        # Shipped to candidate-evaluator workers: telemetry, the
-        # journal (open file handle), and the deadline (live clock)
-        # stay behind, exactly like _DiagnosisState.
+        # Shipped to candidate-sweep workers: the sweep (telemetry, the
+        # journal's open file handle, the deadline's live clock) stays
+        # behind, exactly like _DiagnosisState's.
         state = self.__dict__.copy()
-        state["telemetry"] = None
-        state["journal"] = None
-        state["deadline"] = None
+        state["sweep"] = None
         return state
 
     # -- the pipeline ---------------------------------------------------------
@@ -189,10 +161,24 @@ class RollbackPlanner:
                 "plans": [],
                 "rejected": [],
             }
-        self._check_deadline()
+        self.sweep.check("repair")
         self.prepare()
         plans = self.enumerate()
-        verdicts = self._verify_all(plans)
+        # Verdicts are independent, so every plan is consumed; results
+        # arrive in plan order whether they ran here or on the pool.
+        faults = self.sweep.fault_plan
+        verdicts = []
+        for _, verdict in self.sweep.run(
+            plans,
+            self.verify,
+            phase="repair",
+            executions=(self.bad,),
+            parallel=faults is None or faults.host_only(),
+            kind="repair",
+            key=self._plan_key,
+        ):
+            self.replays += 1
+            verdicts.append(verdict)
         return self._section(plans, verdicts)
 
     def prepare(self) -> None:
@@ -207,7 +193,7 @@ class RollbackPlanner:
             return
         pristine = self.bad.replay()
         self.replays += 1
-        self._check_deadline()
+        self.sweep.check("repair")
         reference = self.bad.replay(self.changes, self.anchor_index)
         self.replays += 1
         self.probes = probe_suite(pristine, reference, self.program)
@@ -351,79 +337,7 @@ class RollbackPlanner:
             "blast_radius": len(alive ^ self.reference_alive),
         }
 
-    # -- verification fan-out -------------------------------------------------
-
-    def _verify_all(self, plans) -> List[Dict[str, object]]:
-        verdicts: List[Optional[Dict[str, object]]] = [None] * len(plans)
-        pending: List[int] = []
-        for index, plan in enumerate(plans):
-            cached = self._journal_lookup(plan)
-            if cached is not None:
-                # Resume fast path: the verdict replaces exactly one
-                # replay — mirror the accounting.
-                self.replays += 1
-                verdicts[index] = cached
-            else:
-                pending.append(index)
-        if (
-            len(pending) > 1
-            and self.workers > 1
-            and (self.fault_plan is None or self.fault_plan.host_only())
-        ):
-            # Verdicts are independent, so (unlike minimize) a resumed
-            # journal does not force the serial path — journal hits were
-            # consumed above and only the misses fan out.  Results are
-            # consumed in plan order either way: byte-identical.
-            done = self._verify_parallel(plans, pending, verdicts)
-            pending = pending[done:]
-        for index in pending:
-            self._check_deadline()
-            verdict = self.verify(plans[index])
-            self.replays += 1
-            self._journal_record(plans[index], verdict)
-            verdicts[index] = verdict
-        return verdicts
-
-    def _verify_parallel(self, plans, pending, verdicts) -> int:
-        """One speculative wave over every unverified plan.
-
-        Returns how many of ``pending`` were consumed; the serial loop
-        finishes the rest (non-zero only when the planning context
-        cannot be pickled, e.g. an execution stand-in).
-        """
-        faults = (
-            FaultInjector(self.fault_plan, "evaluator")
-            if self.fault_plan is not None
-            else None
-        )
-        evaluator = CandidateEvaluator(
-            self.workers,
-            self.telemetry,
-            policy=self.resilience,
-            faults=faults,
-        )
-        try:
-            self._check_deadline()
-            shared = (self, [plans[i] for i in pending])
-            results = evaluator.evaluate(_probe_plan, shared, len(pending))
-            if results is None:
-                return 0
-            for position, index in enumerate(pending):
-                status, value = results[position]
-                if status == "err":
-                    raise value
-                self.replays += 1
-                self._journal_record(plans[index], value)
-                verdicts[index] = value
-            return len(pending)
-        finally:
-            for name, value in evaluator.counters().items():
-                if value:
-                    self.evaluator_counters[name] = (
-                        self.evaluator_counters.get(name, 0) + value
-                    )
-
-    # -- journal + deadline plumbing ------------------------------------------
+    # -- journal keys and the canonical section -------------------------------
 
     def _plan_key(self, plan: RollbackPlan) -> str:
         """Journal key: the exact inputs of the verification replay.
@@ -436,22 +350,6 @@ class RollbackPlanner:
             f"{self.good_event}~{self.bad_event}"
             f"@{self.anchor_index}|{plan.key()}"
         )
-
-    def _journal_lookup(self, plan) -> Optional[Dict[str, object]]:
-        if self.journal is None:
-            return None
-        cached = self.journal.lookup("repair", self._plan_key(plan))
-        return dict(cached) if isinstance(cached, dict) else None
-
-    def _journal_record(self, plan, verdict) -> None:
-        if self.journal is not None:
-            self.journal.record("repair", self._plan_key(plan), verdict)
-
-    def _check_deadline(self) -> None:
-        if self.deadline is not None:
-            self.deadline.check("repair")
-
-    # -- ranking and the canonical section ------------------------------------
 
     def _section(self, plans, verdicts) -> Dict[str, object]:
         verified = []

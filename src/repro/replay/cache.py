@@ -53,6 +53,7 @@ import pickle
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple as PyTuple
 
+from ..faults import FaultInjector
 from ..resilience.integrity import IntegrityError, frame, unframe
 
 __all__ = ["ReplayCache", "DEFAULT_MAX_ENTRIES"]
@@ -97,6 +98,17 @@ class ReplayCache:
         self.evictions = 0
         self.corrupt = 0
         self.bytes_stored = 0
+
+    @classmethod
+    def for_plan(cls, plan) -> "ReplayCache":
+        """A fresh cache for a run under fault plan ``plan`` (or None).
+
+        A plan with ``snapshot_corrupt > 0`` arms the snapshot-corrupt
+        fault on the cache's stores; every other plan leaves it off.
+        """
+        if plan is not None and plan.snapshot_corrupt > 0.0:
+            return cls(faults=FaultInjector(plan, "snapshot"))
+        return cls()
 
     # -- keys ----------------------------------------------------------------
 

@@ -1,10 +1,16 @@
-"""Parallel candidate evaluation over a self-healing process pool.
+"""Ordered candidate sweeps over a self-healing process pool.
 
-DiffProv's candidate phases — the minimality post-pass, autoref's
-reference sweep — evaluate many independent replays whose inputs are
-known up front.  This module fans them out over a
-:mod:`concurrent.futures` process pool while keeping the *outcome*
-byte-identical to a serial run:
+Three DiffProv phases evaluate an ordered list of independent
+candidates: the §4.9 minimality pass, the counterfactual verification
+of rollback plans, and autoref's reference sweep.  :class:`CandidateSweep`
+is the one harness they share.  It resolves journal hits, checks the
+deadline, decides between the parent process and the pool, installs a
+replay cache in each worker, and yields verdicts in job order, so a
+caller stops at the first verdict it accepts exactly where a serial
+pass would have stopped.
+
+:class:`CandidateEvaluator` is the pool underneath, and it keeps the
+*outcome* byte-identical to a serial run:
 
 - The evaluation context is pickled **once** and shipped to each worker
   through the pool initializer; jobs are dispatched by index, so the
@@ -31,9 +37,9 @@ the pool and recomputed inline) and hedge stragglers with a duplicate
 submission.  All of it is counted: ``parallel.pool_restarts``,
 ``parallel.timeouts``, ``parallel.hedges``, ``parallel.inline_fallbacks``.
 
-``workers=1`` callers should not construct an evaluator at all — the
-plain serial code path is the reference behaviour the pool is measured
-against.
+With ``workers=1`` the sweep never builds an evaluator: every job runs
+in the parent on live state, which is the reference behaviour the pool
+is measured against.
 """
 
 from __future__ import annotations
@@ -42,14 +48,16 @@ import concurrent.futures
 import multiprocessing
 import os
 import pickle
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Tuple as PyTuple
 
 from ..errors import ReproError
-from ..faults.injector import worker_crash_decision
+from ..faults.injector import FaultInjector, worker_crash_decision
 from ..observability import active as _active_telemetry
 from ..resilience.policy import ResiliencePolicy
+from .cache import ReplayCache
 
-__all__ = ["CandidateEvaluator", "pool_mp_context"]
+__all__ = ["CandidateEvaluator", "CandidateSweep", "pool_mp_context"]
 
 
 def pool_mp_context():
@@ -323,3 +331,214 @@ class CandidateEvaluator:
             f"CandidateEvaluator(workers={self.workers}, "
             f"restarts={self.pool_restarts})"
         )
+
+
+def _sweep_job(shared, index):
+    """Worker-side evaluation of one :class:`CandidateSweep` job.
+
+    The first job a worker runs gives the shipped executions one
+    worker-local snapshot cache, built like the parent's (the run's
+    ``snapshot-corrupt`` fault included), so later jobs on the same
+    worker fork from shared prefixes instead of re-deriving them.
+    ``warm`` is empty when the run disabled its replay cache.
+    """
+    probe, jobs, warm, plan = shared
+    cache = None
+    for execution in warm:
+        if getattr(execution, "replay_cache", False) is None:
+            if cache is None:
+                cache = ReplayCache.for_plan(plan)
+            execution.replay_cache = cache
+    return probe(jobs[index])
+
+
+def _same(value):
+    return value
+
+
+class CandidateSweep:
+    """Ordered evaluation of independent candidates for one run.
+
+    Holds the run's harness — worker count, journal, deadline,
+    telemetry, healing policy, fault plan and replay-cache switch — and
+    evaluates job lists with :meth:`run`.  The pool is built on the
+    first wave that needs it; its healing counters accumulate across
+    runs and feed :meth:`resilience_section`.
+    """
+
+    def __init__(
+        self,
+        workers: int = 1,
+        *,
+        journal=None,
+        deadline=None,
+        telemetry=None,
+        policy: Optional[ResiliencePolicy] = None,
+        fault_plan=None,
+        replay_cache: bool = True,
+    ):
+        self.workers = max(1, int(workers or 1))
+        self.journal = journal
+        self.deadline = deadline
+        self.telemetry = telemetry
+        self.policy = policy
+        self.fault_plan = fault_plan
+        self.replay_cache = replay_cache
+        self._evaluator: Optional[CandidateEvaluator] = None
+
+    def check(self, phase: str) -> None:
+        """Raise :class:`~repro.errors.DeadlineExceeded` once the budget
+        is spent, naming ``phase``."""
+        if self.deadline is not None:
+            self.deadline.check(phase)
+
+    def run(
+        self,
+        jobs,
+        probe,
+        *,
+        phase: str,
+        executions=(),
+        parallel: bool = True,
+        wave: Optional[int] = None,
+        kind: Optional[str] = None,
+        key=None,
+        encode=_same,
+        decode=_same,
+        timer=nullcontext,
+    ):
+        """Yield ``(job, verdict)`` for every job, in job order.
+
+        ``probe(job)`` computes one verdict; it must be picklable (a
+        module-level function, or a bound method or ``partial`` over
+        picklable state), because on the pool it runs on an unpickled
+        clone.  The caller stops the sweep by breaking out of the loop:
+        verdicts past that point were either never computed or are
+        discarded unread.
+
+        - ``kind`` journals the verdicts under that kind, keyed by
+          ``key(job)``: hits are resolved before anything is evaluated,
+          and each consumed miss is recorded as ``encode(verdict)``.
+          ``decode(value)`` turns a recorded value back into a verdict,
+          or into None to evaluate the job anyway.  ``kind=None`` keeps
+          the sweep out of the journal.
+        - Misses run on the pool in waves of ``wave`` (default: every
+          remaining job), timed under ``timer()``.  They run in this
+          process, on live state and one at a time, when
+          ``workers == 1``, when ``parallel`` is false, when a wave holds
+          a single miss, or once the context proves unpicklable.
+        - The deadline is checked before every wave, under ``phase``.
+        - ``executions`` are the probe's executions that each worker
+          gives a snapshot cache, unless the run disabled the cache.
+        """
+        jobs = list(jobs)
+        journal = self.journal if kind is not None else None
+        pooled = parallel and self.workers > 1
+        looked: Dict[int, Any] = {}
+        cursor = 0
+        while cursor < len(jobs):
+            self.check(phase)
+            size = (wave or len(jobs)) if pooled else 1
+            end, misses = cursor, []
+            while end < len(jobs) and len(misses) < size:
+                if end not in looked:
+                    value = (
+                        None if journal is None
+                        else journal.lookup(kind, key(jobs[end]))
+                    )
+                    looked[end] = None if value is None else decode(value)
+                if looked[end] is None:
+                    misses.append(end)
+                end += 1
+            results: Dict[int, PyTuple[str, Any]] = {}
+            if len(misses) > 1:
+                warm = tuple(executions) if self.replay_cache else ()
+                shared = (probe, [jobs[i] for i in misses], warm,
+                          self.fault_plan)
+                with timer():
+                    outcome = self._pool().evaluate(
+                        _sweep_job, shared, len(misses)
+                    )
+                if outcome is None:
+                    # The context cannot be pickled (e.g. an execution
+                    # stand-in holding OS resources): finish here.
+                    pooled = False
+                    continue
+                results = dict(zip(misses, outcome))
+            for index in range(cursor, end):
+                job, verdict = jobs[index], looked.pop(index)
+                if verdict is None:
+                    if index in results:
+                        status, verdict = results[index]
+                        if status == "err":
+                            raise verdict
+                    else:
+                        verdict = probe(job)
+                    if journal is not None:
+                        journal.record(kind, key(job), encode(verdict))
+                yield job, verdict
+            cursor = end
+
+    def _pool(self) -> CandidateEvaluator:
+        if self._evaluator is None:
+            self._evaluator = CandidateEvaluator(
+                self.workers,
+                self.telemetry,
+                policy=self.policy,
+                faults=(
+                    FaultInjector(self.fault_plan, "evaluator")
+                    if self.fault_plan is not None
+                    else None
+                ),
+            )
+        return self._evaluator
+
+    def counters(self) -> Dict[str, int]:
+        """The pool's non-zero healing counters (empty without a pool)."""
+        if self._evaluator is None:
+            return {}
+        return {
+            name: value
+            for name, value in self._evaluator.counters().items()
+            if value
+        }
+
+    def resilience_section(
+        self, cache=None, expired_in: Optional[str] = None,
+        stopped_early: bool = False,
+    ) -> Optional[Dict[str, object]]:
+        """A report's ``resilience`` section (None when nothing was active).
+
+        Describes *how* the run survived, never what it concluded — it
+        is excluded from the canonical report, so resumed and degraded
+        runs stay byte-comparable on their conclusions.  ``cache`` is
+        the run's ReplayCache, ``expired_in`` the phase a caught
+        deadline expiry cut short, ``stopped_early`` whether a sweep
+        ended on the deadline.
+        """
+        section: Dict[str, object] = {}
+        journal = self.journal
+        if journal is not None:
+            section["journal"] = {
+                "path": journal.path,
+                "resumed": journal.resumed,
+                "skipped_candidates": journal.skipped,
+                "entries_written": journal.writes,
+            }
+        counters = self.counters()
+        if counters:
+            section["evaluator"] = counters
+        if cache is not None and cache.corrupt:
+            section["cache"] = {"corrupt": cache.corrupt}
+        deadline = self.deadline
+        if deadline is not None:
+            section["deadline"] = {
+                "seconds": deadline.seconds,
+                "expired": deadline.expired or expired_in is not None,
+                "slack_s": round(deadline.timeout(), 3),
+            }
+            if expired_in is not None:
+                section["deadline"]["expired_in"] = expired_in
+        if stopped_early:
+            section["stopped_early"] = True
+        return section or None

@@ -46,15 +46,55 @@ def test_journal_resume_reuses_plan_verdicts(baseline, tmp_path):
 
 
 def test_parallel_run_may_resume_a_serial_journal(baseline, tmp_path):
-    # Plan verdicts are independent of evaluation order, so unlike the
-    # minimality pass a resumed journal does not force the serial path
-    # — and a workers=4 resume of a workers=1 journal stays canonical.
+    # Journal hits are resolved before anything fans out, so a workers=4
+    # resume of a workers=1 journal stays canonical.
     journal = str(tmp_path / "repair.journal")
     with Session(scenario="SDN1", repair=True, journal=journal) as session:
         session.diagnose()
     with Session(scenario="SDN1", repair=True, workers=4) as session:
         resumed = session.diagnose(resume_from=journal)
     assert resumed.canonical_json() == baseline
+
+
+def _sweep_run(scenario, entry, workers, journal=None, resume_from=None):
+    """(canonical report, tried references, resilience) of one run."""
+    if entry == "autoref":
+        with Session(scenario=scenario, workers=workers,
+                     journal=journal) as session:
+            result = session.autoref(limit=10, resume_from=resume_from)
+        tried = [str(candidate.event) for candidate in result.tried]
+        return result.report.canonical_json(), tried, result.resilience
+    with Session(scenario=scenario, minimize=True, repair=True,
+                 workers=workers, journal=journal) as session:
+        report = session.diagnose(resume_from=resume_from)
+    return report.canonical_json(), None, report.resilience
+
+
+# (scenario, entry point, journal hits on resume).  The hit counts are
+# those of a workers=1 resume: each recorded verdict is consumed once,
+# whichever worker count resumes it.
+RESUME_CASES = [
+    ("SDN1", "minimize+repair", 4),
+    ("SDN4", "minimize+repair", 9),
+    ("DNS", "autoref", 5),
+]
+
+
+@pytest.mark.parametrize("scenario, entry, hits", RESUME_CASES)
+def test_serial_journal_resumes_identically_on_two_workers(
+    tmp_path, scenario, entry, hits
+):
+    journal = str(tmp_path / "sweep.journal")
+    canonical, tried, first = _sweep_run(scenario, entry, 1, journal=journal)
+    assert first["journal"]["resumed"] is False
+
+    resumed, resumed_tried, section = _sweep_run(
+        scenario, entry, 2, resume_from=journal
+    )
+    assert resumed == canonical
+    assert resumed_tried == tried
+    assert section["journal"]["resumed"] is True
+    assert section["journal"]["skipped_candidates"] == hits
 
 
 def test_repair_toggle_changes_the_journal_fingerprint(tmp_path):

@@ -8,10 +8,17 @@ evaluated serially or on a process pool.
 
 import pytest
 
+from repro.api import Session
 from repro.core.diffprov import DiffProvOptions
 from repro.datalog import BACKENDS, EngineConfig, parse_tuple
 from repro.faults import FaultPlan
-from repro.replay import Change, Execution, ReplayCache, replay
+from repro.replay import (
+    CandidateEvaluator,
+    Change,
+    Execution,
+    ReplayCache,
+    replay,
+)
 from repro.scenarios import ALL_SCENARIOS
 
 
@@ -253,6 +260,79 @@ class TestDeterminism:
         )
         assert parallel.canonical_json() == serial.canonical_json()
         assert parallel.replays == serial.replays
+
+    @pytest.mark.parametrize("scenario", ["DNS", "SDN1"])
+    def test_autoref_parallel_equals_serial(self, scenario):
+        # DNS accepts its fifth candidate, so workers=2 needs three
+        # waves and discards the sixth candidate's speculative report.
+        serial = Session(scenario=scenario).autoref(limit=10)
+        parallel = Session(scenario=scenario, workers=2).autoref(limit=10)
+        assert parallel.found and serial.found
+        assert parallel.reference == serial.reference
+        assert [str(c.event) for c in parallel.tried] == [
+            str(c.event) for c in serial.tried
+        ]
+        assert (
+            parallel.report.canonical_json() == serial.report.canonical_json()
+        )
+
+
+class TestDisabledCacheOnWorkers:
+    """``replay_cache=False`` holds inside pool workers too.
+
+    Regression: the minimality and rollback-verification workers used
+    to install a fresh ReplayCache whatever the option said.  Workers
+    are forked, so the patched ``fetch`` is what they would call.
+    """
+
+    @pytest.mark.parametrize(
+        "scenario, entry",
+        [("SDN4", "minimize"), ("SDN1", "repair"), ("DNS", "autoref")],
+    )
+    def test_disabled_cache_is_never_consulted(
+        self, monkeypatch, scenario, entry
+    ):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("replay cache used with replay_cache=False")
+
+        monkeypatch.setattr(ReplayCache, "fetch", refuse)
+        if entry == "autoref":
+            session = Session(scenario=scenario, workers=2,
+                              replay_cache=False)
+            assert session.autoref(limit=10).found
+        else:
+            report = Session(
+                scenario=scenario, workers=2, replay_cache=False,
+                **{entry: True},
+            ).diagnose()
+            assert report.success
+
+
+class TestSweepWithoutPool:
+    """Where the candidate sweep must never build a process pool."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("CandidateEvaluator constructed")
+
+        monkeypatch.setattr(CandidateEvaluator, "__init__", refuse)
+
+    def test_one_worker_runs_every_sweep_in_process(self, no_pool):
+        report = Session(
+            scenario="SDN4", minimize=True, repair=True
+        ).diagnose()
+        assert report.success and report.repair["status"] == "ok"
+        assert Session(scenario="DNS").autoref(limit=10).found
+
+    def test_network_fault_plan_keeps_minimize_in_process(self, no_pool):
+        # Divergence checks under network faults may mutate diagnosis
+        # state, so the trials must run on live state, not on clones.
+        report = Session(
+            scenario="SDN4", minimize=True, workers=2,
+            faults="loss=0.1,seed=7",
+        ).diagnose()
+        assert report.success
 
 
 class TestCorruption:

@@ -1,13 +1,13 @@
 """Deadline expiry in the middle of a parallel candidate wave.
 
-Both wave-based pool consumers — the autoref candidate sweep and the
-minimality post-pass — block on ``CandidateEvaluator.evaluate`` for a
-whole wave at a time, so the realistic expiry shape is: a wave runs to
-completion on the pool, and only the *next* deadline check sees the
-overrun.  These tests pin down what must happen then: the work already
-done is kept, the run degrades to a partial result instead of raising,
-and the expiry is reported in the resilience section
-(docs/resilience.md).
+The ordered candidate sweep (``CandidateSweep``) behind the autoref
+reference search and the minimality post-pass blocks on
+``CandidateEvaluator.evaluate`` for a whole wave at a time, so the
+realistic expiry shape is: a wave runs to completion on the pool, and
+only the *next* deadline check sees the overrun.  These tests pin down
+what must happen then: the work already done is kept, the run degrades
+to a partial result instead of raising, and the expiry is reported in
+the resilience section (docs/resilience.md).
 
 The fixtures drive a fake clock that leaps forward only after a real
 pool wave returns, so the budget always dies mid-sweep, never before
@@ -57,11 +57,12 @@ def wave_burns_budget_then_degrades(monkeypatch):
 
     After the wave completes (and the clock has leapt), the patched
     evaluator reports its results as unusable — the same signal an
-    unpicklable context sends — so ``_minimize_parallel`` hands the
-    remaining trials to the serial pass, whose per-candidate
-    ``_check_deadline("minimize")`` is the check that must observe the
-    expiry.  (Every built-in scenario's minimize finishes in a single
-    wave, so without the handoff no later check would ever run.)
+    unpicklable context sends — so the sweep finishes the remaining
+    trials in the parent process, and the deadline check it makes
+    before each of them (phase ``"minimize"``) is the check that must
+    observe the expiry.  (Every built-in scenario's minimize finishes in
+    a single wave, so without the handoff no later check would ever
+    run.)
     """
     clock = FakeClock()
     real_evaluate = CandidateEvaluator.evaluate
